@@ -32,9 +32,7 @@ from .pebbling import (
     PebblingMove,
     apply_move,
     clumping_number,
-    config_size,
     format_configuration,
-    legal_moves,
     pairing_number,
     parse_configuration,
     satisfies,

@@ -6,8 +6,9 @@ graph6 lines on standard input.
 
 Exit codes: 0 success; 1 unexpected error or failed verification; 2 sweep
 found a proven-bound violation (suite failure); 3 sweep found a conjecture
-violation only (a finding); 64 unusable input; 65 solver precondition not
-met; 75 budget or size cap exhausted before a decision.
+violation only (a finding); 64 unusable input, bad flags included; 65
+solver precondition not met; 75 budget or size cap exhausted before a
+decision.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     lines = _read_graph_lines(args)
-    omegas = tuple(int(tok) for tok in args.omega.split(",")) if args.omega else ()
+    omegas = args.omega
     records, summary = run_sweep(
         lines, omegas=omegas, budget=args.budget,
         cross_check_lambda=args.cross_check_lambda,
@@ -274,25 +275,25 @@ def _emit_graphs(graphs: list[Graph], fmt: str) -> None:
 
 
 def _cmd_family(args) -> int:
-    if args.kind == "random":
-        if args.order is None:
-            raise CliError("family random requires --order")
-        rng = random.Random(args.seed)
-        dia = None
-        if args.diameter:
-            parts = args.diameter.split(":")
-            lo = int(parts[0])
-            hi = int(parts[1]) if len(parts) > 1 else lo
-            dia = (lo, hi)
-        graphs = [random_connected_graph(args.order, rng, diameter_range=dia)
-                  for _ in range(args.count)]
-        _emit_graphs(graphs, args.format)
-        return EXIT_OK
+    if args.kind == "random" and args.order is None:
+        raise CliError("family random requires --order")
     try:
-        g = generate(FamilySpec(args.kind, tuple(args.params)))
+        if args.kind == "random":
+            rng = random.Random(args.seed)
+            dia = None
+            if args.diameter:
+                parts = args.diameter.split(":")
+                lo = int(parts[0])
+                hi = int(parts[1]) if len(parts) > 1 else lo
+                dia = (lo, hi)
+            graphs = [random_connected_graph(args.order, rng,
+                                             diameter_range=dia)
+                      for _ in range(args.count)]
+        else:
+            graphs = [generate(FamilySpec(args.kind, tuple(args.params)))]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _emit_graphs([g], args.format)
+    _emit_graphs(graphs, args.format)
     return EXIT_OK
 
 
@@ -300,8 +301,32 @@ def _cmd_family(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64 like every other unusable input (argparse's
+    own code 2 is sweep's "proven bound violated")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
+def _non_negative_list(text: str) -> tuple[int, ...]:
+    return tuple(_non_negative(tok) for tok in text.split(",")) if text else ()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcpebble",
         description="Exact domination cover pebbling computations, "
                     "constructive solvers with certificates, and bound sweeps.")
@@ -315,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="exact pebbling value of one graph")
     p.add_argument("quantity", choices=["psi", "lambda", "omega"])
     add_graph_opt(p)
-    p.add_argument("--omega", type=int, help="omega for the subversion number")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--omega", type=_non_negative,
+                   help="omega for the subversion number")
+    p.add_argument("--budget", type=_non_negative,
                    help="max configurations examined before giving up")
-    p.add_argument("--cap", type=int,
+    p.add_argument("--cap", type=_non_negative,
                    help="size cap for the ascending scan (default: proven bound)")
     p.add_argument("--brute", action="store_true",
                    help="compute lambda by brute force instead of stacking")
@@ -332,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_opt(p)
     p.add_argument("--goal", choices=["dcp", "cover", "subversion"],
                    default="dcp", help="goal for the oracle (default dcp)")
-    p.add_argument("--omega", type=int)
-    p.add_argument("--budget", type=int,
+    p.add_argument("--omega", type=_non_negative)
+    p.add_argument("--budget", type=_non_negative,
                    help="oracle state budget (default 10^7)")
     p.add_argument("--skip-invariants", action="store_true",
                    help="disable the diameter-d solver's invariant checks")
@@ -345,14 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_opt(p)
     p.add_argument("--goal", choices=["dcp", "cover", "subversion"],
                    default="dcp")
-    p.add_argument("--omega", type=int)
+    p.add_argument("--omega", type=_non_negative)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="verify bounds over a graph6 stream")
     add_graph_opt(p)
-    p.add_argument("--omega", metavar="LIST",
+    p.add_argument("--omega", metavar="LIST", type=_non_negative_list,
+                   default=(),
                    help="comma-separated omegas to evaluate, e.g. 1,2")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_non_negative,
                    help="per-quantity configuration budget; exhaustion marks "
                         "the record unknown")
     p.add_argument("--jobs", type=int, default=1)
@@ -380,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

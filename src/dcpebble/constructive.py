@@ -19,6 +19,7 @@ from typing import Sequence
 from .graphs import (
     DisconnectedGraphError,
     Graph,
+    dominated_mask,
     induced_subgraph,
     support_mask,
 )
@@ -62,11 +63,14 @@ class CoverPartition:
 
 def partition_covered(g: Graph, c: Sequence[int]) -> CoverPartition:
     check_sized(g, c)
-    covered = frozenset(v for v in range(g.n) if c[v] > 0)
-    fringe = frozenset(v for v in range(g.n)
-                       if c[v] == 0 and any(w in covered for w in g.adj[v]))
-    remote = frozenset(range(g.n)) - covered - fringe
-    return CoverPartition(covered, fringe, remote)
+    cov = support_mask(c)
+    dom = dominated_mask(g, cov)
+
+    def members(mask: int) -> frozenset[int]:
+        return frozenset(v for v in range(g.n) if mask >> v & 1)
+
+    return CoverPartition(members(cov), members(dom & ~cov),
+                          members(g.full_mask & ~dom))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +117,7 @@ def verify_certificate(g: Graph, cert: Certificate,
 # ---------------------------------------------------------------------------
 
 def _is_dominated(g: Graph, counts: list[int], v: int) -> bool:
-    return counts[v] > 0 or any(counts[w] > 0 for w in g.adj[v])
+    return bool(support_mask(counts) & g.closed_masks[v])
 
 
 def _move(g: Graph, counts: list[int], moves: list[PebblingMove],
@@ -351,12 +355,9 @@ def check_solver_state(g: Graph, state: SolverState, initial: Configuration,
     if union != frozenset(range(g.n)) or \
             sum(len(s) for s in sets) != g.n:
         failed.append("6 (partition)")
-    cov_mask = support_mask(counts)
-    for v in state.retired:
-        if not (cov_mask >> v & 1 or
-                any(cov_mask >> w & 1 for w in g.adj[v])):
-            failed.append("7 (retired dominated)")
-            break
+    dominated = dominated_mask(g, support_mask(counts))
+    if any(not dominated >> v & 1 for v in state.retired):
+        failed.append("7 (retired dominated)")
     replay = list(initial)
     legal = True
     for u, v in moves:
@@ -552,13 +553,9 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
     moves = tuple((old_label[u], old_label[v]) for u, v in sub_moves)
 
     cert = Certificate(initial, moves)
-    final = cert.replay(g)
-    dominated = 0
-    mask = support_mask(final)
-    for v in range(g.n):
-        if mask >> v & 1 or any(mask >> w & 1 for w in g.adj[v]):
-            dominated += 1
-    if g.n - dominated > omega:
+    undominated = g.n - dominated_mask(
+        g, support_mask(cert.replay(g))).bit_count()
+    if undominated > omega:
         raise InvariantViolation(
-            f"{g.n - dominated} vertices left undominated, allowed {omega}")
+            f"{undominated} vertices left undominated, allowed {omega}")
     return cert

@@ -9,7 +9,7 @@ tiny and metric queries are hot.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -143,14 +143,19 @@ def dominated_mask(g: Graph, covered_mask: int) -> int:
     return out
 
 
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
+
+
 def dominated_vertices(g: Graph, covered: Iterable[int]) -> frozenset[int]:
     """Closed neighborhood of ``covered``: every vertex that is covered or
     adjacent to a covered vertex."""
-    mask = 0
-    for v in covered:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-        mask |= g.closed_masks[v]
+    mask = dominated_mask(g, _vertex_mask(g, covered))
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 
@@ -158,12 +163,7 @@ def undominated_components(g: Graph, covered: Iterable[int]) -> list[int]:
     """Orders of the connected components of the subgraph induced by the
     vertices left undominated by ``covered``.  Sorted descending; empty
     when everything is dominated."""
-    cov_mask = 0
-    for v in covered:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-        cov_mask |= 1 << v
-    return undominated_component_sizes(g, cov_mask)
+    return undominated_component_sizes(g, _vertex_mask(g, covered))
 
 
 def undominated_component_sizes(g: Graph, covered_mask: int) -> list[int]:
@@ -173,19 +173,10 @@ def undominated_component_sizes(g: Graph, covered_mask: int) -> list[int]:
     seen = 0
     while undom & ~seen:
         rem = undom & ~seen
-        start = rem & -rem
-        comp = start
-        frontier = start
+        comp = frontier = rem & -rem
         while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.closed_masks[low.bit_length() - 1]
-                m ^= low
-            nxt &= undom & ~comp
-            comp |= nxt
-            frontier = nxt
+            frontier = dominated_mask(g, frontier) & undom & ~comp
+            comp |= frontier
         sizes.append(comp.bit_count())
         seen |= comp
     sizes.sort(reverse=True)
@@ -314,10 +305,3 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
     pos = {v: i for i, v in enumerate(old)}
     edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
     return Graph(len(old), edges), old
-
-
-def iter_graph6_lines(text: str) -> Iterator[str]:
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln:
-            yield ln

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    dominated_mask,
     max_undominated_component,
     support_mask,
 )
@@ -35,10 +36,6 @@ def make_configuration(counts: Iterable[int]) -> Configuration:
     if any(c < 0 for c in counts):
         raise PebblingError(f"negative pebble count in {counts}")
     return counts
-
-
-def config_size(c: Sequence[int]) -> int:
-    return sum(c)
 
 
 def support(c: Sequence[int]) -> frozenset[int]:
@@ -134,29 +131,20 @@ def subversion(omega: int) -> Goal:
 def satisfies(g: Graph, c: Sequence[int], goal: Goal) -> bool:
     """Does ``c`` already satisfy ``goal`` on ``g`` (no moves made)?"""
     check_sized(g, c)
-    if goal.kind == "cover":
-        return all(k >= 1 for k in c)
     return satisfies_mask(g, support_mask(c), goal)
 
 
 def satisfies_mask(g: Graph, covered_mask: int, goal: Goal) -> bool:
-    """Support-only goal check on a covered-vertex bitmask (hot path).
+    """Goal check on a covered-vertex bitmask (hot path).
 
-    Valid for the domination and subversion goals, whose truth depends
-    only on which vertices are covered.
+    Every goal depends only on which vertices are covered: full cover
+    holds exactly when all of them are.
     """
     if goal.kind == "cover":
-        raise ValueError("full cover depends on counts, not only on support")
-    limit = goal.omega if goal.kind == "subversion" else 0
-    if limit == 0:
-        out = 0
-        m = covered_mask
-        while m:
-            low = m & -m
-            out |= g.closed_masks[low.bit_length() - 1]
-            m ^= low
-        return out == g.full_mask
-    return max_undominated_component(g, covered_mask) <= limit
+        return covered_mask == g.full_mask
+    if goal.omega == 0:
+        return dominated_mask(g, covered_mask) == g.full_mask
+    return max_undominated_component(g, covered_mask) <= goal.omega
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +217,3 @@ class Certificate:
         except (KeyError, TypeError, ValueError) as exc:
             raise PebblingError(f"bad certificate JSON: {exc}") from exc
         return cls(initial, moves)
-
-
-def legal_moves(g: Graph, c: Sequence[int]) -> list[PebblingMove]:
-    """All currently legal moves, sorted by (source, target)."""
-    out = []
-    for u in range(g.n):
-        if c[u] >= 2:
-            for v in g.adj[u]:
-                out.append((u, v))
-    return out

@@ -24,7 +24,13 @@ DEFAULT_STATE_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised by scans that cannot report a partial result."""
+    """A level scan examined more configurations than its budget allows;
+    ``checked`` is how many it had examined."""
+
+    def __init__(self, budget: int, checked: int):
+        super().__init__(
+            f"scan exceeded budget of {budget} configurations")
+        self.checked = checked
 
 
 @dataclass(frozen=True)
@@ -105,12 +111,6 @@ def count_configurations(n: int, size: int) -> int:
 # single-configuration solvability
 # ---------------------------------------------------------------------------
 
-def _goal_check(g: Graph, goal: Goal):
-    if goal.kind == "cover":
-        return lambda counts: all(k >= 1 for k in counts)
-    return lambda counts: satisfies_mask(g, support_mask(counts), goal)
-
-
 def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
                 budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Decide whether some configuration reachable from ``c`` (including
@@ -124,7 +124,6 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     """
     check_sized(g, c)
     initial = tuple(int(k) for k in c)
-    sat = _goal_check(g, goal)
     visited: set[Configuration] = set()
     adj = g.adj
     n = g.n
@@ -132,7 +131,7 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
 
     def dfs(counts: Configuration) -> list[tuple[int, int]] | None:
         nonlocal over
-        if sat(counts):
+        if satisfies_mask(g, support_mask(counts), goal):
             return []
         if len(visited) >= budget:
             over = True
@@ -186,58 +185,33 @@ def default_cap(g: Graph, goal: Goal) -> int:
     return (1 << (g.diameter - 2)) * (g.n - 2) + 1
 
 
-def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,
-                   budget: int | None = None,
-                   automorphisms: Sequence[Sequence[int]] | None = None
-                   ) -> NumberReport:
-    """Smallest k such that every configuration of k pebbles solves ``g``.
+def _levels(g: Graph, goal: Goal, top: int, budget: int | None
+            ) -> Iterator[tuple[dict[Configuration, None], int]]:
+    """Classify every configuration of sizes 0..``top`` bottom-up.
 
-    Scans sizes ascending from 0, enumerating each level in colex order and
-    classifying each configuration bottom-up: a configuration is solvable
+    Each level is enumerated in colex order; a configuration is solvable
     iff it already satisfies the goal or some single move leads to a
     solvable configuration one pebble smaller.  Solvability facts from the
     previous level are reused (they are query-independent), so each level
     costs one dictionary probe per legal move.
 
-    The witness is the last unsolvable configuration found, i.e. the
-    colexicographically largest one of maximum size.
-
-    ``automorphisms`` optionally enables symmetry pruning: pass the full
-    automorphism group of ``g`` (vertex permutations, identity included)
-    and only orbit representatives are classified.  Solvability is
-    invariant under relabeling, so the value is unchanged; the witness is
-    then the representative of its orbit.
+    Yields, per level, its unsolvable configurations as the keys of a dict
+    (which keeps their colex order) and the running count of
+    configurations examined.  Raises :class:`BudgetExceededError` as soon
+    as that count exceeds ``budget``.
     """
-    if cap is None:
-        cap = default_cap(g, goal)
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    sat = _goal_check(g, goal)
     n = g.n
     adj = g.adj
-    perms = None
-    if automorphisms is not None:
-        perms = [tuple(p) for p in automorphisms]
-        if all(p == tuple(range(n)) for p in perms):
-            perms = None
-
-    def rep(counts: Configuration) -> Configuration:
-        return min(tuple(counts[p[v]] for v in range(n)) for p in perms)
-
     checked = 0
-    prev_unsolv: set[Configuration] = set()
-    prev_last: Configuration | None = None
+    prev_unsolv: dict[Configuration, None] = {}
 
-    for k in range(cap + 1):
-        unsolv: set[Configuration] = set()
-        last: Configuration | None = None
+    for k in range(top + 1):
+        unsolv: dict[Configuration, None] = {}
         for counts in configurations(n, k):
-            if perms is not None and rep(counts) != counts:
-                continue
             checked += 1
             if budget is not None and checked > budget:
-                return NumberReport(k, prev_last, "budget", checked)
-            if sat(counts):
+                raise BudgetExceededError(budget, checked)
+            if satisfies_mask(g, support_mask(counts), goal):
                 continue
             solvable = False
             if k >= 2:
@@ -250,22 +224,42 @@ def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,
                             child = tuple(work)
                             work[u] += 2
                             work[v] -= 1
-                            if perms is not None:
-                                child = rep(child)
                             if child not in prev_unsolv:
                                 solvable = True
                                 break
                         if solvable:
                             break
             if not solvable:
-                unsolv.add(counts)
-                last = counts
-        if not unsolv:
-            return NumberReport(k, prev_last, "exact", checked)
+                unsolv[counts] = None
+        yield unsolv, checked
         prev_unsolv = unsolv
-        prev_last = last
 
-    return NumberReport(cap + 1, prev_last, "cap", checked)
+
+def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,
+                   budget: int | None = None) -> NumberReport:
+    """Smallest k such that every configuration of k pebbles solves ``g``.
+
+    Scans sizes ascending from 0 (see :func:`_levels`) until a level has
+    no unsolvable configuration.  The witness is the last unsolvable
+    configuration found, i.e. the colexicographically largest one of
+    maximum size.
+    """
+    if cap is None:
+        cap = default_cap(g, goal)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    witness: Configuration | None = None
+    checked = 0
+    scan = _levels(g, goal, cap, budget)
+    for k in range(cap + 1):
+        try:
+            unsolv, checked = next(scan)
+        except BudgetExceededError as exc:
+            return NumberReport(k, witness, "budget", exc.checked)
+        if not unsolv:
+            return NumberReport(k, witness, "exact", checked)
+        witness = next(reversed(unsolv))
+    return NumberReport(cap + 1, witness, "cap", checked)
 
 
 def max_unsolvable_witness(g: Graph, goal: Goal, k: int,
@@ -274,50 +268,12 @@ def max_unsolvable_witness(g: Graph, goal: Goal, k: int,
     one), or None when every size-k configuration is solvable."""
     if k < 0:
         raise ValueError("size must be >= 0")
-    sat = _goal_check(g, goal)
-    n = g.n
-    adj = g.adj
-    checked = 0
-    prev_unsolv: set[Configuration] = set()
-
-    for level in range(k + 1):
-        unsolv: set[Configuration] = set()
-        first: Configuration | None = None
-        for counts in configurations(n, level):
-            checked += 1
-            if budget is not None and checked > budget:
-                raise BudgetExceededError(
-                    f"witness scan exceeded budget of {budget} configurations")
-            if sat(counts):
-                continue
-            solvable = False
-            if level >= 2:
-                work = list(counts)
-                for u in range(n):
-                    if work[u] >= 2:
-                        for v in adj[u]:
-                            work[u] -= 2
-                            work[v] += 1
-                            child = tuple(work)
-                            work[u] += 2
-                            work[v] -= 1
-                            if child not in prev_unsolv:
-                                solvable = True
-                                break
-                        if solvable:
-                            break
-            if not solvable:
-                unsolv.add(counts)
-                if first is None:
-                    first = counts
-        if level == k:
-            return first
+    for unsolv, _ in _levels(g, goal, k, budget):
         if not unsolv:
             # Larger levels stay solvable (pointwise monotonicity), so no
             # witness of size k exists.
             return None
-        prev_unsolv = unsolv
-    return None
+    return next(iter(unsolv))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,17 @@ def test_cli_parse_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["compute", "psi", "--graph",
                                     str(tmp_path / "missing.el")])
     assert code == 64
+    good = tmp_path / "k2.g6"
+    good.write_text("A_\n")
+    for argv in (["sweep", "--bogus"],
+                 ["compute", "omega", "--omega", "-1"],
+                 ["compute", "psi", "--cap", "-1"],
+                 ["sweep", "--omega", "a"],
+                 ["compute", "psi", "--budget", "-5"]):
+        code, out, err = run_cli(capsys, argv + ["--graph", str(good)])
+        assert code == 64, argv
+        assert "error:" in err, argv
+        assert out == "", argv
 
 
 def test_cli_sweep_formats_and_jobs(capsys, tmp_path, monkeypatch):
@@ -246,8 +257,11 @@ def test_cli_family_and_formats(capsys):
                                     "edgelist"])
     assert code == 0
     assert parse_edge_list(out) == star(5)
-    code, _, err = run_cli(capsys, ["family", "star", "1"])
-    assert code == 64
+    for argv in (["family", "star", "1"],
+                 ["family", "random", "--order", "0"],
+                 ["family", "random", "--order", "5", "--diameter", "x"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 64 and "error:" in err, argv
 
 
 def test_cli_family_random_deterministic(capsys):

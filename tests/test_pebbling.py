@@ -22,6 +22,7 @@ from dcpebble import (
     subversion,
     support,
 )
+from dcpebble.pebbling import satisfies_mask
 from dcpebble.solver import configurations
 
 
@@ -51,6 +52,8 @@ def test_satisfies_examples():
     assert not satisfies(STAR5, (0, 1, 1, 1, 0), DOMINATION)
     assert satisfies(STAR5, (1, 1, 1, 1, 1), FULL_COVER)
     assert not satisfies(STAR5, (2, 1, 1, 1, 0), FULL_COVER)
+    assert satisfies_mask(STAR5, 0b11111, FULL_COVER)
+    assert not satisfies_mask(STAR5, 0b01111, FULL_COVER)
 
 
 def test_goal_validation():

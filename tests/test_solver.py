@@ -8,6 +8,7 @@ from dcpebble import (
     binary_tree,
     complete,
     connected_graphs,
+    emit_graph6,
     is_solvable,
     lambda_stacking,
     max_unsolvable_witness,
@@ -184,19 +185,6 @@ def test_lambda_stacking_witness_unsolvable():
         assert is_solvable(g, rep.witness, FULL_COVER).solvable is False
 
 
-def test_symmetry_pruning_preserves_values():
-    from itertools import permutations
-    # full automorphism group of the star: any leaf permutation
-    autos = [(0,) + p for p in permutations(range(1, 5))]
-    for goal in (DOMINATION, FULL_COVER, subversion(1)):
-        plain = pebbling_value(STAR5, goal)
-        pruned = pebbling_value(STAR5, goal, automorphisms=autos)
-        assert pruned.value == plain.value
-        assert pruned.checked < plain.checked
-        if pruned.witness is not None:
-            assert is_solvable(STAR5, pruned.witness, goal).solvable is False
-
-
 # ---------------------------------------------------------------------------
 # witnesses of a given size
 # ---------------------------------------------------------------------------
@@ -220,6 +208,43 @@ def test_witness_wheel_subversion():
 
 def test_witness_absent_on_complete_graph():
     assert max_unsolvable_witness(complete(5), DOMINATION, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# reference oracle for the level scan
+# ---------------------------------------------------------------------------
+
+def reference_levels(g, goal):
+    """Unsolvable configurations of each size, in colex order, classified
+    one by one with the single-query search, up to and including the
+    first level where every configuration is solvable."""
+    levels = []
+    while not levels or levels[-1]:
+        levels.append([c for c in configurations(g.n, len(levels))
+                       if not is_solvable(g, c, goal).solvable])
+    return levels
+
+
+REFERENCE_CASES = [
+    (g, goal)
+    for goal, top in ((DOMINATION, 5), (subversion(1), 5), (subversion(2), 5),
+                      (FULL_COVER, 4))
+    for n in range(1, top + 1) for g in connected_graphs(n)
+]
+
+
+@pytest.mark.parametrize(
+    "g,goal", REFERENCE_CASES,
+    ids=[f"{emit_graph6(g)}-{goal.describe()}" for g, goal in REFERENCE_CASES])
+def test_level_scan_matches_reference(g, goal):
+    levels = reference_levels(g, goal)
+    value = len(levels) - 1
+    witness = levels[-2][-1] if value else None
+    rep = pebbling_value(g, goal)
+    assert (rep.value, rep.witness, rep.status) == (value, witness, "exact")
+    for k in range(value + 1):
+        first = levels[k][0] if levels[k] else None
+        assert max_unsolvable_witness(g, goal, k) == first
 
 
 # ---------------------------------------------------------------------------
