@@ -92,7 +92,6 @@ from .fixtures import (
     CONNECTED_COUNTS,
     connected_graph6_lines,
     connected_graphs,
-    connected_graphs_up_to,
 )
 from .harness import SweepRecord, analyze_graph, run_sweep, sweep_exit_code
 

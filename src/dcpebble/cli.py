@@ -7,8 +7,8 @@ graph6 lines on standard input.
 Exit codes: 0 success; 1 unexpected error or failed verification; 2 sweep
 found a proven-bound violation (suite failure); 3 sweep found a conjecture
 violation only (a finding); 64 unusable input, bad flags included; 65
-solver precondition not met; 75 budget or size cap exhausted before a
-decision.
+solver precondition not met; 75 budget, size cap or search depth
+exhausted before a decision.
 """
 
 from __future__ import annotations
@@ -168,11 +168,10 @@ def _cmd_solve(args) -> int:
 
     if args.algorithm == "oracle":
         goal = _goal_from(args)
-        result = is_solvable(g, config, goal,
-                             budget=args.budget or DEFAULT_STATE_BUDGET)
+        result = is_solvable(g, config, goal, budget=args.budget)
         print(f"states explored = {result.states_explored}")
         if result.unknown:
-            print("verdict: unknown (state budget exhausted)")
+            print("verdict: unknown (state budget or search depth exhausted)")
             return EXIT_BUDGET
         if not result.solvable:
             print("verdict: unsolvable")
@@ -360,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="dcp", help="goal for the oracle (default dcp)")
     p.add_argument("--omega", type=_non_negative)
     p.add_argument("--budget", type=_non_negative,
+                   default=DEFAULT_STATE_BUDGET,
                    help="oracle state budget (default 10^7)")
     p.add_argument("--skip-invariants", action="store_true",
                    help="disable the diameter-d solver's invariant checks")

@@ -180,11 +180,6 @@ def _dominate_core(g: Graph, counts: list[int]) -> list[PebblingMove]:
             srcs = [w for w in g.adj[v] if w in covered and counts[w] >= 2]
             if srcs:
                 _move(g, counts, moves, min(srcs), v)
-        # Leftover fringe vertices sit at distance 2 from every remaining
-        # pair; one pair each dominates them.
-        for z in sorted(part.fringe):
-            if counts[z] == 0 and not _is_dominated(g, counts, z):
-                _dominate_from_pair(g, counts, moves, z, covered)
     else:
         # Dominate each remote vertex by covering a vertex between it and
         # a source, spending pairs from 3-or-more stacks first so sources
@@ -210,10 +205,11 @@ def _dominate_core(g: Graph, counts: list[int]) -> list[PebblingMove]:
                 raise InvariantViolation(
                     f"no vertex between source {src} and remote {v}")
             _move(g, counts, moves, src, mids[0])
-        # Any fringe vertex whose source went dark still has a pair owed.
-        for z in sorted(part.fringe):
-            if counts[z] == 0 and not _is_dominated(g, counts, z):
-                _dominate_from_pair(g, counts, moves, z, covered)
+    # Leftover fringe vertices, and any whose source went dark, sit at
+    # distance 2 from every remaining pair; one pair each dominates them.
+    for z in sorted(part.fringe):
+        if counts[z] == 0 and not _is_dominated(g, counts, z):
+            _dominate_from_pair(g, counts, moves, z, covered)
 
     if not satisfies_mask(g, support_mask(counts), Goal("domination")):
         raise InvariantViolation("terminal support fails to dominate")

@@ -348,17 +348,15 @@ def omega_formula(spec: FamilySpec, omega: int) -> int:
 # ---------------------------------------------------------------------------
 
 def random_connected_graph(order: int, rng: random.Random,
-                           diameter_range: tuple[int, int] | None = None,
-                           edge_probability: float | None = None,
-                           max_tries: int = 100_000) -> Graph:
+                           diameter_range: tuple[int, int] | None = None
+                           ) -> Graph:
     """Rejection-sample a connected graph, optionally constrained to a
     diameter range.  Deterministic for a seeded ``rng``."""
     if order < 2:
         raise ValueError("need order >= 2")
     pairs = list(combinations(range(order), 2))
-    for _ in range(max_tries):
-        p = edge_probability if edge_probability is not None \
-            else rng.uniform(0.2, 0.6)
+    for _ in range(100_000):
+        p = rng.uniform(0.2, 0.6)
         edges = [e for e in pairs if rng.random() < p]
         try:
             g = build_graph(order, edges)
@@ -371,7 +369,7 @@ def random_connected_graph(order: int, rng: random.Random,
         return g
     raise RuntimeError(
         f"no graph of order {order} with diameter in {diameter_range} "
-        f"found in {max_tries} tries")
+        "found in 100000 tries")
 
 
 def random_configuration(n: int, size: int, rng: random.Random) -> Configuration:

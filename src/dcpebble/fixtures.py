@@ -30,10 +30,3 @@ def connected_graph6_lines(n: int) -> list[str]:
 
 def connected_graphs(n: int) -> list[Graph]:
     return [parse_graph6(line) for line in connected_graph6_lines(n)]
-
-
-def connected_graphs_up_to(n: int, *, min_order: int = 1) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(min_order, n + 1):
-        out.extend(connected_graphs(k))
-    return out

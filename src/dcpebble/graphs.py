@@ -99,9 +99,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(len(a) for a in self.adj)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

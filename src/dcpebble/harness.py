@@ -81,15 +81,7 @@ class SweepRecord:
 
 
 def sweep_columns(omegas: tuple[int, ...]) -> list[str]:
-    base = ["graph", "n", "diameter", "status", "psi", "psi_witness",
-            "lambda", "lambda_brute", "ratio"]
-    base += [f"omega_{k}" for k in omegas]
-    base += [f"check_{name}" for name in THEOREM_CHECKS + CONJECTURE_CHECKS]
-    for k in omegas:
-        base.append(f"check_subversion_diam2_omega_{k}")
-        base.append(f"check_subversion_diam3_omega_{k}")
-    base += ["violations", "findings", "seconds"]
-    return base
+    return list(SweepRecord("", 0, 0).flat(omegas))
 
 
 def _record_check(rec: SweepRecord, name: str, ok: bool | None,

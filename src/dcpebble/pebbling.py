@@ -78,6 +78,8 @@ def apply_move(g: Graph, c: Sequence[int], move: PebblingMove) -> Configuration:
     """
     src, dst = move
     check_sized(g, c)
+    if not (0 <= src < g.n and 0 <= dst < g.n):
+        raise PebblingError(f"move {src}->{dst}: vertex out of range")
     if not g.is_edge(src, dst):
         raise PebblingError(f"move {src}->{dst}: endpoints not adjacent")
     if c[src] < 2:

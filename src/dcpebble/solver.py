@@ -38,7 +38,8 @@ class SolveResult:
     """Outcome of one solvability query.
 
     ``solvable`` is True/False for a decided query and None when the state
-    budget ran out (an explicitly unknown outcome, never reported as
+    budget ran out or the search went deeper than the interpreter's
+    recursion limit (an explicitly unknown outcome, never reported as
     unsolvable).  ``certificate`` is present exactly when solvable.
     """
 
@@ -67,10 +68,6 @@ class NumberReport:
     status: str = "exact"
     checked: int = 0
 
-    @property
-    def exact(self) -> bool:
-        return self.status == "exact"
-
 
 # ---------------------------------------------------------------------------
 # configuration enumeration (colexicographic)
@@ -82,29 +79,20 @@ def configurations(n: int, size: int) -> Iterator[Configuration]:
     Enumerated as multisets in colexicographic order, i.e. the count of the
     highest vertex varies slowest.
     """
-    if n == 1:
-        yield (size,)
-        return
-
-    def gen(vertices: int, total: int) -> Iterator[tuple[int, ...]]:
-        if vertices == 1:
-            yield (total,)
+    counts = [size] + [0] * (n - 1)
+    while True:
+        yield tuple(counts)
+        if counts[-1] == size:
             return
-        for last in range(total + 1):
-            for head in gen(vertices - 1, total - last):
-                yield head + (last,)
-
-    yield from gen(n, size)
-
-
-def colex_key(c: Sequence[int]) -> tuple[int, ...]:
-    """Sort key realizing the colexicographic multiset order."""
-    return tuple(reversed(c))
-
-
-def count_configurations(n: int, size: int) -> int:
-    from math import comb
-    return comb(size + n - 1, n - 1)
+        f = 0
+        while not counts[f]:
+            f += 1
+        # Colex successor: the lowest stack passes one pebble up to the
+        # next vertex and drops the rest back onto vertex 0.
+        rest = counts[f] - 1
+        counts[f] = 0
+        counts[0] = rest
+        counts[f + 1] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +143,12 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
                             return None
         return None
 
-    moves_rev = dfs(initial)
+    try:
+        moves_rev = dfs(initial)
+    except RecursionError:
+        # Deeper than the interpreter's stack allows: undecided, like a
+        # spent budget.
+        return SolveResult(None, None, len(visited))
     states = len(visited)
     if moves_rev is not None:
         cert = Certificate(initial, tuple(reversed(moves_rev)))
@@ -213,26 +206,28 @@ def _levels(g: Graph, goal: Goal, top: int, budget: int | None
                 raise BudgetExceededError(budget, checked)
             if satisfies_mask(g, support_mask(counts), goal):
                 continue
-            solvable = False
-            if k >= 2:
-                work = list(counts)
-                for u in range(n):
-                    if work[u] >= 2:
-                        for v in adj[u]:
-                            work[u] -= 2
-                            work[v] += 1
-                            child = tuple(work)
-                            work[u] += 2
-                            work[v] -= 1
-                            if child not in prev_unsolv:
-                                solvable = True
-                                break
-                        if solvable:
-                            break
-            if not solvable:
+            if not _move_escapes(adj, counts, prev_unsolv):
                 unsolv[counts] = None
         yield unsolv, checked
         prev_unsolv = unsolv
+
+
+def _move_escapes(adj: Sequence[Sequence[int]], counts: Configuration,
+                  unsolvable: dict[Configuration, None]) -> bool:
+    """True iff some legal move from ``counts`` leads outside
+    ``unsolvable``.  Moves are probed by lowest source, then adjacency
+    order."""
+    work = list(counts)
+    for u, targets in enumerate(adj):
+        if work[u] >= 2:
+            work[u] -= 2
+            for v in targets:
+                work[v] += 1
+                if tuple(work) not in unsolvable:
+                    return True
+                work[v] -= 1
+            work[u] += 2
+    return False
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,

@@ -9,9 +9,12 @@ from dcpebble import (
     connected_graph6_lines,
     emit_edge_list,
     emit_graph6,
+    is_solvable,
     parse_edge_list,
     parse_graph6,
+    pebbling_value,
     star,
+    subversion,
     wheel,
 )
 from dcpebble.cli import main
@@ -48,6 +51,22 @@ def test_analyze_diameter3_uses_conjecture_checks():
     assert rec.checks["subversion_diam3_omega_1"] is True
     assert rec.checks.get("ratio_diam2") is None
     assert not rec.violations and not rec.findings
+
+
+def test_analyze_order6_subversion_finding():
+    # C5 plus a pendant (diameter 3): Omega_1 = 6 exceeds the conjectured
+    # floor(3(n-2-omega)/2)+1 = 5; the witness is 5 pebbles on the pendant.
+    rec = analyze_graph("ELq?", omegas=(1, 2))
+    assert (rec.n, rec.diameter) == (6, 3)
+    assert rec.psi == 9 and rec.psi_witness == "0,0,0,0,0,8"
+    assert rec.omega_values == {1: 6, 2: 2}
+    assert rec.findings == ["subversion_diam3_omega_1"]
+    assert not rec.violations
+    g = parse_graph6("ELq?")
+    witness = (0, 0, 0, 0, 0, 5)
+    assert pebbling_value(g, subversion(1)).witness == witness
+    res = is_solvable(g, witness, subversion(1))
+    assert res.solvable is False and res.states_explored == 7
 
 
 def test_analyze_budget_marks_unknown():
@@ -173,12 +192,15 @@ def test_cli_solve_oracle_unsolvable(capsys, star5_file):
     assert code == 0 and "verdict: unsolvable" in out
 
 
-def test_cli_solve_budget_unknown(capsys, tmp_path):
+def test_cli_solve_budget_unknown(capsys, tmp_path, star5_file):
     f = tmp_path / "p4.el"
     f.write_text("4 3\n0 1\n1 2\n2 3\n")
-    code, out, _ = run_cli(capsys, ["solve", "oracle", "--config", "0,0,0,4",
-                                    "--graph", str(f), "--budget", "2"])
-    assert code == 75 and "unknown" in out
+    for graph, config, budget in ((str(f), "0,0,0,4", "2"),
+                                  (star5_file, "0,1,1,1,0", "0")):
+        code, out, _ = run_cli(capsys, ["solve", "oracle", "--config",
+                                        config, "--graph", graph,
+                                        "--budget", budget])
+        assert code == 75 and "unknown" in out
 
 
 def test_cli_solve_precondition(capsys, tmp_path):

@@ -12,6 +12,7 @@ from dcpebble import (
     clumping_number,
     complete,
     connected_graphs,
+    cycle,
     format_configuration,
     pairing_number,
     parse_configuration,
@@ -45,6 +46,10 @@ def test_apply_move_errors():
         apply_move(P4, (5, 0, 0, 0), (0, 2))  # not adjacent
     with pytest.raises(PebblingError):
         apply_move(P4, (5, 0, 0), (0, 1))  # size mismatch
+    with pytest.raises(PebblingError):
+        apply_move(cycle(5), (0, 0, 0, 0, 3), (-1, 0))  # negative vertex
+    with pytest.raises(PebblingError):
+        apply_move(P4, (0, 0, 0, 5), (4, 3))  # vertex past the end
 
 
 def test_satisfies_examples():
@@ -158,6 +163,8 @@ def test_certificate_replay_illegal():
     cert = Certificate((1, 0, 0, 0), ((0, 1),))
     with pytest.raises(PebblingError):
         cert.replay(P4)
+    with pytest.raises(PebblingError):
+        Certificate((0, 0, 0, 5), ((4, 3),)).replay(P4)
 
 
 def test_certificate_bad_json():
