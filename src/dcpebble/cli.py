@@ -251,7 +251,10 @@ def _cmd_sweep(args) -> int:
     else:
         text = emit_csv(records, omegas)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -292,6 +295,8 @@ def _cmd_family(args) -> int:
             graphs = [generate(FamilySpec(args.kind, tuple(args.params)))]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except RuntimeError as exc:  # sampling gave up on a reachable range
+        raise CliError(str(exc), EXIT_BUDGET) from exc
     _emit_graphs(graphs, args.format)
     return EXIT_OK
 

@@ -354,6 +354,11 @@ def random_connected_graph(order: int, rng: random.Random,
     diameter range.  Deterministic for a seeded ``rng``."""
     if order < 2:
         raise ValueError("need order >= 2")
+    if diameter_range is not None:
+        lo, hi = diameter_range
+        if lo > hi or hi < 1 or lo > order - 1:
+            raise ValueError(f"no graph of order {order} has diameter in "
+                             f"{lo}..{hi}")
     pairs = list(combinations(range(order), 2))
     for _ in range(100_000):
         p = rng.uniform(0.2, 0.6)
@@ -362,10 +367,8 @@ def random_connected_graph(order: int, rng: random.Random,
             g = build_graph(order, edges)
         except DisconnectedGraphError:
             continue
-        if diameter_range is not None:
-            lo, hi = diameter_range
-            if not lo <= g.diameter <= hi:
-                continue
+        if diameter_range is not None and not lo <= g.diameter <= hi:
+            continue
         return g
     raise RuntimeError(
         f"no graph of order {order} with diameter in {diameter_range} "

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .families import psi_upper_bound, subversion_bounds
 from .graphs import parse_graph6
 from .pebbling import DOMINATION, FULL_COVER, format_configuration, subversion
-from .solver import lambda_stacking, pebbling_value
+from .solver import lambda_stacking, pebbling_value, pebbling_values
 
 THEOREM_CHECKS = ("psi_diameter_bound", "psi_le_lambda", "ratio_diam2",
                   "lambda_stacking_oracle")
@@ -104,7 +104,8 @@ def analyze_graph(line: str, omegas: tuple[int, ...] = (),
     lam_report = lambda_stacking(g)
     rec.lam = lam_report.value
 
-    psi_report = pebbling_value(g, DOMINATION, budget=budget)
+    psi_report, *omega_reports = pebbling_values(
+        g, (DOMINATION, *map(subversion, omegas)), budget=budget)
     if psi_report.status == "budget":
         rec.status = "unknown"
     else:
@@ -136,8 +137,7 @@ def analyze_graph(line: str, omegas: tuple[int, ...] = (),
             _record_check(rec, "lambda_stacking_oracle",
                           brute.status == "exact" and brute.value == rec.lam)
 
-    for k in omegas:
-        report = pebbling_value(g, subversion(k), budget=budget)
+    for k, report in zip(omegas, omega_reports):
         if report.status == "budget":
             rec.status = "unknown"
             rec.omega_values[k] = None

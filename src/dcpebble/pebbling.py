@@ -214,8 +214,12 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-            initial = make_configuration(data["initial"])
-            moves = tuple((int(a), int(b)) for a, b in data["moves"])
+            initial = tuple(data["initial"])
+            moves = tuple((a, b) for a, b in data["moves"])
+            if any(type(x) is not int
+                   for x in initial + tuple(x for mv in moves for x in mv)):
+                raise ValueError("counts and vertices must be JSON integers")
+            initial = make_configuration(initial)
         except (KeyError, TypeError, ValueError) as exc:
             raise PebblingError(f"bad certificate JSON: {exc}") from exc
         return cls(initial, moves)

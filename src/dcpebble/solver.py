@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, max_undominated_component
 from .pebbling import (
     Certificate,
     Configuration,
@@ -21,16 +21,6 @@ from .pebbling import (
 )
 
 DEFAULT_STATE_BUDGET = 10_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A level scan examined more configurations than its budget allows;
-    ``checked`` is how many it had examined."""
-
-    def __init__(self, budget: int, checked: int):
-        super().__init__(
-            f"scan exceeded budget of {budget} configurations")
-        self.checked = checked
 
 
 @dataclass(frozen=True)
@@ -178,97 +168,92 @@ def default_cap(g: Graph, goal: Goal) -> int:
     return (1 << (g.diameter - 2)) * (g.n - 2) + 1
 
 
-def _levels(g: Graph, goal: Goal, top: int, budget: int | None
-            ) -> Iterator[tuple[dict[Configuration, None], int]]:
-    """Classify every configuration of sizes 0..``top`` bottom-up.
+def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
+                    budget: int | None = None) -> list[NumberReport]:
+    """Exact values of goals that differ only in omega, from one ascending
+    scan over all configurations of each size in colex order.
 
-    Each level is enumerated in colex order; a configuration is solvable
-    iff it already satisfies the goal or some single move leads to a
-    solvable configuration one pebble smaller.  Solvability facts from the
-    previous level are reused (they are query-independent), so each level
-    costs one dictionary probe per legal move.
+    A configuration's score is the least deficit reachable from it: the
+    largest undominated component, or for cover 1 while some vertex is
+    bare.  It is the minimum of its support's score and the scores of the
+    configurations one move away, which the previous level holds.  A level
+    keeps only scores above the smallest requested omega, so one missing
+    from it scores at most that omega.  A configuration is unsolvable for a
+    goal iff it scores above the goal's omega: the value is the first size
+    with no such configuration, and the witness the colex-last one of the
+    size before.
 
-    Yields, per level, its unsolvable configurations as the keys of a dict
-    (which keeps their colex order) and the running count of
-    configurations examined.  Raises :class:`BudgetExceededError` as soon
-    as that count exceeds ``budget``.
+    Domination and subversion goals share a scan; cover scans alone.  Once
+    ``checked`` exceeds ``budget`` every goal still open gets a
+    ``"budget"`` report, and past ``cap`` (default :func:`default_cap`) a
+    ``"cap"`` report.
     """
-    n = g.n
+    if len({goal.kind == "cover" for goal in goals}) != 1:
+        raise ValueError("cover goals cannot share a scan with other goals")
+    if cap is None:
+        cap = default_cap(g, goals[0])
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    cover = goals[0].kind == "cover"
+    floor = min(goal.omega for goal in goals)
     adj = g.adj
+    support_scores: dict[int, int] = {}
+    reports: list[NumberReport | None] = [None] * len(goals)
+    prev: dict[Configuration, int] = {}
     checked = 0
-    prev_unsolv: dict[Configuration, None] = {}
 
-    for k in range(top + 1):
-        unsolv: dict[Configuration, None] = {}
-        for counts in configurations(n, k):
+    def settle(value: int, status: str, most: int = -1) -> list:
+        """Report every open goal whose omega is at least ``most``."""
+        for i, goal in enumerate(goals):
+            if reports[i] is None and goal.omega >= most:
+                witness = next((c for c, s in reversed(prev.items())
+                                if s > goal.omega), None)
+                reports[i] = NumberReport(value, witness, status, checked)
+        return reports
+
+    for k in range(cap + 1):
+        level: dict[Configuration, int] = {}
+        for counts in configurations(g.n, k):
             checked += 1
             if budget is not None and checked > budget:
-                raise BudgetExceededError(budget, checked)
-            if satisfies_mask(g, support_mask(counts), goal):
-                continue
-            if not _move_escapes(adj, counts, prev_unsolv):
-                unsolv[counts] = None
-        yield unsolv, checked
-        prev_unsolv = unsolv
-
-
-def _move_escapes(adj: Sequence[Sequence[int]], counts: Configuration,
-                  unsolvable: dict[Configuration, None]) -> bool:
-    """True iff some legal move from ``counts`` leads outside
-    ``unsolvable``.  Moves are probed by lowest source, then adjacency
-    order."""
-    work = list(counts)
-    for u, targets in enumerate(adj):
-        if work[u] >= 2:
-            work[u] -= 2
-            for v in targets:
-                work[v] += 1
-                if tuple(work) not in unsolvable:
-                    return True
-                work[v] -= 1
-            work[u] += 2
-    return False
+                return settle(k, "budget")
+            mask = support_mask(counts)
+            score = support_scores.get(mask)
+            if score is None:
+                score = support_scores[mask] = (
+                    int(mask != g.full_mask) if cover
+                    else max_undominated_component(g, mask))
+            # Probe moves by lowest source, then adjacency order, until one
+            # leaves the kept set.
+            work = list(counts)
+            for u, targets in enumerate(adj):
+                if score <= floor:
+                    break
+                if work[u] >= 2:
+                    work[u] -= 2
+                    for v in targets:
+                        work[v] += 1
+                        child = prev.get(tuple(work), floor)
+                        work[v] -= 1
+                        if child < score:
+                            score = child
+                            if score <= floor:
+                                break
+                    work[u] += 2
+            if score > floor:
+                level[counts] = score
+        settle(k, "exact", max(level.values(), default=floor))
+        if not level:
+            return reports
+        prev = level
+    return settle(cap + 1, "cap")
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,
                    budget: int | None = None) -> NumberReport:
-    """Smallest k such that every configuration of k pebbles solves ``g``.
-
-    Scans sizes ascending from 0 (see :func:`_levels`) until a level has
-    no unsolvable configuration.  The witness is the last unsolvable
-    configuration found, i.e. the colexicographically largest one of
-    maximum size.
-    """
-    if cap is None:
-        cap = default_cap(g, goal)
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    witness: Configuration | None = None
-    checked = 0
-    scan = _levels(g, goal, cap, budget)
-    for k in range(cap + 1):
-        try:
-            unsolv, checked = next(scan)
-        except BudgetExceededError as exc:
-            return NumberReport(k, witness, "budget", exc.checked)
-        if not unsolv:
-            return NumberReport(k, witness, "exact", checked)
-        witness = next(reversed(unsolv))
-    return NumberReport(cap + 1, witness, "cap", checked)
-
-
-def max_unsolvable_witness(g: Graph, goal: Goal, k: int,
-                           budget: int | None = None) -> Configuration | None:
-    """Some unsolvable configuration of size exactly ``k`` (the colex-first
-    one), or None when every size-k configuration is solvable."""
-    if k < 0:
-        raise ValueError("size must be >= 0")
-    for unsolv, _ in _levels(g, goal, k, budget):
-        if not unsolv:
-            # Larger levels stay solvable (pointwise monotonicity), so no
-            # witness of size k exists.
-            return None
-    return next(iter(unsolv))
+    """Smallest k such that every configuration of k pebbles solves ``g``
+    (see :func:`pebbling_values`)."""
+    return pebbling_values(g, (goal,), cap, budget)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import types
+from pathlib import Path
 
 import pytest
 
+import dcpebble
 from dcpebble import (
     Certificate,
     connected_graph6_lines,
@@ -67,6 +70,18 @@ def test_analyze_order6_subversion_finding():
     assert pebbling_value(g, subversion(1)).witness == witness
     res = is_solvable(g, witness, subversion(1))
     assert res.solvable is False and res.states_explored == 7
+
+
+def test_sweep_orders1_to_6_matches_pinned_csv():
+    lines = [ln for n in range(1, 7) for ln in connected_graph6_lines(n)]
+    records, _ = run_sweep(lines, omegas=(1, 2))
+    pinned = Path(__file__).parent / "data" / "sweep_orders1-6_omega12.csv"
+    assert emit_csv(records, (1, 2)).encode() == pinned.read_bytes()
+
+
+def test_package_exports_resolve():
+    for name in dcpebble.__all__:
+        assert not isinstance(getattr(dcpebble, name), types.ModuleType), name
 
 
 def test_analyze_budget_marks_unknown():
@@ -243,7 +258,8 @@ def test_cli_parse_errors(capsys, tmp_path):
                  ["compute", "omega", "--omega", "-1"],
                  ["compute", "psi", "--cap", "-1"],
                  ["sweep", "--omega", "a"],
-                 ["compute", "psi", "--budget", "-5"]):
+                 ["compute", "psi", "--budget", "-5"],
+                 ["sweep", "--out", str(tmp_path / "missing" / "x.csv")]):
         code, out, err = run_cli(capsys, argv + ["--graph", str(good)])
         assert code == 64, argv
         assert "error:" in err, argv
@@ -281,9 +297,19 @@ def test_cli_family_and_formats(capsys):
     assert parse_edge_list(out) == star(5)
     for argv in (["family", "star", "1"],
                  ["family", "random", "--order", "0"],
-                 ["family", "random", "--order", "5", "--diameter", "x"]):
+                 ["family", "random", "--order", "5", "--diameter", "x"],
+                 ["family", "random", "--order", "3", "--diameter", "5"],
+                 ["family", "random", "--order", "3", "--diameter", "2:1"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 64 and "error:" in err, argv
+
+
+def test_cli_family_random_gives_up(capsys, monkeypatch):
+    def give_up(*args, **kwargs):
+        raise RuntimeError("no graph found in 100000 tries")
+    monkeypatch.setattr("dcpebble.cli.random_connected_graph", give_up)
+    code, out, err = run_cli(capsys, ["family", "random", "--order", "4"])
+    assert code == 75 and out == "" and "error:" in err
 
 
 def test_cli_family_random_deterministic(capsys):

@@ -172,6 +172,12 @@ def test_certificate_bad_json():
         Certificate.from_json('{"moves": []}')
     with pytest.raises(PebblingError):
         Certificate.from_json("not json")
+    for text in ('{"initial": [3, 0], "moves": [[0.5, 1]]}',
+                 '{"initial": [1.5, 0], "moves": []}',
+                 '{"initial": ["3", 0], "moves": []}',
+                 '{"initial": [true, 0], "moves": []}'):
+        with pytest.raises(PebblingError):
+            Certificate.from_json(text)
 
 
 def test_configuration_text_forms():

@@ -11,9 +11,9 @@ from dcpebble import (
     emit_graph6,
     is_solvable,
     lambda_stacking,
-    max_unsolvable_witness,
     path,
     pebbling_value,
+    pebbling_values,
     star,
     stacking_value,
     subversion,
@@ -189,28 +189,14 @@ def test_lambda_stacking_witness_unsolvable():
 
 
 # ---------------------------------------------------------------------------
-# witnesses of a given size
+# witnesses
 # ---------------------------------------------------------------------------
-
-def test_witness_star():
-    wit = max_unsolvable_witness(STAR5, DOMINATION, 3)
-    assert wit == (0, 1, 1, 1, 0)
-    assert is_solvable(STAR5, wit, DOMINATION).solvable is False
-
 
 def test_witness_wheel_subversion():
     w8 = wheel(8)
-    wit = max_unsolvable_witness(w8, subversion(1), 3)
-    assert wit is not None
-    assert is_solvable(w8, wit, subversion(1)).solvable is False
     # single pebbles on three consecutive rim vertices are unsolvable
     consecutive = tuple(1 if v in (1, 2, 3) else 0 for v in range(9))
-    assert wit == consecutive
     assert is_solvable(w8, consecutive, subversion(1)).solvable is False
-
-
-def test_witness_absent_on_complete_graph():
-    assert max_unsolvable_witness(complete(5), DOMINATION, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +231,25 @@ def test_level_scan_matches_reference(g, goal):
     witness = levels[-2][-1] if value else None
     rep = pebbling_value(g, goal)
     assert (rep.value, rep.witness, rep.status) == (value, witness, "exact")
-    for k in range(value + 1):
-        first = levels[k][0] if levels[k] else None
-        assert max_unsolvable_witness(g, goal, k) == first
+    for k in range(value):
+        capped = pebbling_value(g, goal, cap=k)
+        assert (capped.value, capped.witness, capped.status) == \
+            (k + 1, levels[k][-1], "cap")
+
+
+# ---------------------------------------------------------------------------
+# one scan for several goals
+# ---------------------------------------------------------------------------
+
+def test_pebbling_values_match_single_goal_scans():
+    goals = (DOMINATION, subversion(1), subversion(2))
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for budget in (None, 0, 1, 5, 37, 200):
+                assert pebbling_values(g, goals, budget=budget) == [
+                    pebbling_value(g, goal, budget=budget) for goal in goals]
+    with pytest.raises(ValueError):  # cover scans alone
+        pebbling_values(P4, (DOMINATION, FULL_COVER))
 
 
 # ---------------------------------------------------------------------------
