@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .constructive import (
@@ -242,23 +243,23 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     lines = _read_graph_lines(args)
     omegas = args.omega
-    records, summary = run_sweep(
-        lines, omegas=omegas, budget=args.budget,
-        cross_check_lambda=args.cross_check_lambda,
-        jobs=args.jobs, timing=args.timing)
-    if args.format == "json":
-        text = emit_json(records, summary, omegas)
-    else:
-        text = emit_csv(records, omegas)
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    # Open --out before the sweep, so an unwritable path fails at once.
+    try:
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc}") from exc
+    with out as fh:
+        records, summary = run_sweep(
+            lines, omegas=omegas, budget=args.budget,
+            cross_check_lambda=args.cross_check_lambda,
+            jobs=args.jobs, timing=args.timing)
+        if args.format == "json":
+            text = emit_json(records, summary, omegas)
+        else:
+            text = emit_csv(records, omegas)
+        if not args.out and not text.endswith("\n"):
+            text += "\n"
+        fh.write(text)
     print_summary(summary)
     return sweep_exit_code(summary)
 
@@ -347,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=_non_negative,
                    help="omega for the subversion number")
     p.add_argument("--budget", type=_non_negative,
-                   help="max configurations examined before giving up")
+                   help="max candidate configurations the value scan "
+                        "scores before giving up")
     p.add_argument("--cap", type=_non_negative,
                    help="size cap for the ascending scan (default: proven bound)")
     p.add_argument("--brute", action="store_true",
@@ -385,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(),
                    help="comma-separated omegas to evaluate, e.g. 1,2")
     p.add_argument("--budget", type=_non_negative,
-                   help="per-quantity configuration budget; exhaustion marks "
-                        "the record unknown")
+                   help="per-scan budget of candidate configurations "
+                        "scored; exhaustion marks the record unknown")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", metavar="FILE", help="write report here instead of stdout")

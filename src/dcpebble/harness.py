@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,6 +171,9 @@ def run_sweep(lines: list[str], omegas: tuple[int, ...] = (),
     tasks = [(ln, omegas, budget, cross_check_lambda, timing)
              for ln in lines]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: the process-pool machinery costs about 3 MB of
+        # memory, which a one-process sweep never uses.
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_worker, tasks, chunksize=4))

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -30,13 +31,6 @@ class PebblingError(ValueError):
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
-
-def make_configuration(counts: Iterable[int]) -> Configuration:
-    counts = tuple(int(c) for c in counts)
-    if any(c < 0 for c in counts):
-        raise PebblingError(f"negative pebble count in {counts}")
-    return counts
-
 
 def support(c: Sequence[int]) -> frozenset[int]:
     """Covered vertices: those holding at least one pebble."""
@@ -193,9 +187,16 @@ class Certificate:
     moves: tuple[PebblingMove, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "initial", tuple(self.initial))
-        object.__setattr__(self, "moves",
-                           tuple((int(a), int(b)) for a, b in self.moves))
+        initial = tuple(self.initial)
+        moves = tuple((a, b) for a, b in self.moves)
+        # Exactly int: a bool or a float would pass an int() coercion.
+        if not set(map(type, chain(initial, *moves))) <= {int}:
+            raise PebblingError(
+                "certificate counts and vertices must be integers")
+        if initial and min(initial) < 0:
+            raise PebblingError(f"negative pebble count in {initial}")
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "moves", moves)
 
     def replay(self, g: Graph) -> Configuration:
         """Final configuration after all moves; raises PebblingError on an
@@ -214,12 +215,6 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-            initial = tuple(data["initial"])
-            moves = tuple((a, b) for a, b in data["moves"])
-            if any(type(x) is not int
-                   for x in initial + tuple(x for mv in moves for x in mv)):
-                raise ValueError("counts and vertices must be JSON integers")
-            initial = make_configuration(initial)
+            return cls(data["initial"], data["moves"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PebblingError(f"bad certificate JSON: {exc}") from exc
-        return cls(initial, moves)

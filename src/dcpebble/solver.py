@@ -171,7 +171,7 @@ def default_cap(g: Graph, goal: Goal) -> int:
 def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     budget: int | None = None) -> list[NumberReport]:
     """Exact values of goals that differ only in omega, from one ascending
-    scan over all configurations of each size in colex order.
+    scan over the configurations of each size in colex order.
 
     A configuration's score is the least deficit reachable from it: the
     largest undominated component, or for cover 1 while some vertex is
@@ -183,10 +183,17 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     with no such configuration, and the witness the colex-last one of the
     size before.
 
-    Domination and subversion goals share a scan; cover scans alone.  Once
-    ``checked`` exceeds ``budget`` every goal still open gets a
-    ``"budget"`` report, and past ``cap`` (default :func:`default_cap`) a
-    ``"cap"`` report.
+    Adding a pebble never raises the score, so a configuration can be kept
+    only if removing any one of its pebbles leaves a kept configuration of
+    the previous level.  Only those candidates (the upper shadow of the
+    previous level) are scored; every other configuration scores at most
+    the smallest omega, so the kept levels equal those of a scan over all
+    configurations.
+
+    Domination and subversion goals share a scan; cover scans alone.
+    ``checked`` counts scored candidates.  Once it exceeds ``budget`` every
+    goal still open gets a ``"budget"`` report, and past ``cap`` (default
+    :func:`default_cap`) a ``"cap"`` report.
     """
     if len({goal.kind == "cover" for goal in goals}) != 1:
         raise ValueError("cover goals cannot share a scan with other goals")
@@ -213,7 +220,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
 
     for k in range(cap + 1):
         level: dict[Configuration, int] = {}
-        for counts in configurations(g.n, k):
+        for counts in _upper_shadow(prev, g.n) if k else [(0,) * g.n]:
             checked += 1
             if budget is not None and checked > budget:
                 return settle(k, "budget")
@@ -247,6 +254,33 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
             return reports
         prev = level
     return settle(cap + 1, "cap")
+
+
+def _upper_shadow(prev: dict[Configuration, int], n: int
+                  ) -> Iterator[Configuration]:
+    """Configurations one pebble larger than ``prev`` whose every
+    one-pebble-smaller neighbour lies in ``prev``, in colex order.
+
+    Each is built once, from the parent that lacks one pebble on its
+    highest occupied vertex v.  ``prev`` is in colex order, so the parents
+    whose highest occupied vertex is at most v form a prefix of it, and a
+    pebble added at v keeps their order.
+    """
+    for v in range(n):
+        for c in prev:
+            if any(c[v + 1:]):
+                break
+            work = list(c)
+            work[v] += 1
+            for u in range(v):
+                if work[u]:
+                    work[u] -= 1
+                    below = tuple(work) in prev
+                    work[u] += 1
+                    if not below:
+                        break
+            else:
+                yield tuple(work)
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,

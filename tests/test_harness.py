@@ -244,7 +244,7 @@ def test_cli_verify_roundtrip(capsys, tmp_path, star5_file):
     assert code == 1 and "illegal move at step 0" in out
 
 
-def test_cli_parse_errors(capsys, tmp_path):
+def test_cli_parse_errors(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.el"
     bad.write_text("garbage\n")
     code, _, err = run_cli(capsys, ["compute", "psi", "--graph", str(bad)])
@@ -254,6 +254,9 @@ def test_cli_parse_errors(capsys, tmp_path):
     assert code == 64
     good = tmp_path / "k2.g6"
     good.write_text("A_\n")
+    # An unwritable sweep --out is refused before the sweep runs.
+    monkeypatch.setattr("dcpebble.cli.run_sweep",
+                        lambda *a, **k: pytest.fail("the sweep ran"))
     for argv in (["sweep", "--bogus"],
                  ["compute", "omega", "--omega", "-1"],
                  ["compute", "psi", "--cap", "-1"],

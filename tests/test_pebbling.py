@@ -167,6 +167,14 @@ def test_certificate_replay_illegal():
         Certificate((0, 0, 0, 5), ((4, 3),)).replay(P4)
 
 
+def test_certificate_rejects_non_integers():
+    for initial, moves in (((3, 0), ((0.5, 1),)), ((2.5, 0), ((0, 1),)),
+                           ((True, 0), ()), ((2, 0), ((0, True),)),
+                           ((-1, 0), ())):
+        with pytest.raises(PebblingError):
+            Certificate(initial, moves)
+
+
 def test_certificate_bad_json():
     with pytest.raises(PebblingError):
         Certificate.from_json('{"moves": []}')

@@ -176,7 +176,7 @@ def test_lambda_stacking_witness_is_single_stack():
 
 
 def test_lambda_stacking_matches_bruteforce_small():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for g in connected_graphs(n):
             assert lambda_stacking(g).value == \
                 pebbling_value(g, FULL_COVER).value
@@ -241,15 +241,52 @@ def test_level_scan_matches_reference(g, goal):
 # one scan for several goals
 # ---------------------------------------------------------------------------
 
+def _verdict(rep):
+    return rep.value, rep.witness, rep.status
+
+
 def test_pebbling_values_match_single_goal_scans():
+    # The candidates of a shared scan depend on its smallest omega, so
+    # only the verdicts agree with the one-goal scans, not ``checked``.
     goals = (DOMINATION, subversion(1), subversion(2))
     for n in range(1, 7):
         for g in connected_graphs(n):
-            for budget in (None, 0, 1, 5, 37, 200):
-                assert pebbling_values(g, goals, budget=budget) == [
-                    pebbling_value(g, goal, budget=budget) for goal in goals]
+            shared = pebbling_values(g, goals)
+            single = [pebbling_value(g, goal) for goal in goals]
+            assert list(map(_verdict, shared)) == list(map(_verdict, single))
+            for budget in (0, 1, 5, 37, 200):
+                pairs = zip(
+                    shared + single,
+                    pebbling_values(g, goals, budget=budget)
+                    + [pebbling_value(g, goal, budget=budget)
+                       for goal in goals])
+                for exact, rep in pairs:
+                    if rep.status == "exact":
+                        assert rep == exact
+                    else:
+                        assert rep.status == "budget"
+                        assert rep.checked == budget + 1
+                        assert rep.value <= exact.value
     with pytest.raises(ValueError):  # cover scans alone
         pebbling_values(P4, (DOMINATION, FULL_COVER))
+
+
+def test_psi_path8_exact_within_budget():
+    rep = pebbling_value(path(8), DOMINATION, budget=1_000_000)
+    assert _verdict(rep) == (73, (0,) * 7 + (72,), "exact")
+
+
+def test_full_enumeration_budget_suffices():
+    # ``checked`` counts candidates, never more than every configuration
+    # of sizes 0..value.
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            for goal in (DOMINATION, subversion(1), FULL_COVER):
+                rep = pebbling_value(g, goal)
+                full = sum(comb(k + n - 1, n - 1)
+                           for k in range(rep.value + 1))
+                assert rep.checked <= full
+                assert pebbling_value(g, goal, budget=full) == rep
 
 
 # ---------------------------------------------------------------------------
