@@ -7,8 +7,8 @@ graph6 lines on standard input.
 Exit codes: 0 success; 1 unexpected error or failed verification; 2 sweep
 found a proven-bound violation (suite failure); 3 sweep found a conjecture
 violation only (a finding); 64 unusable input, bad flags included; 65
-solver precondition not met; 75 budget, size cap or search depth
-exhausted before a decision.
+solver precondition not met; 75 budget or size cap exhausted before a
+decision.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
         result = is_solvable(g, config, goal, budget=args.budget)
         print(f"states explored = {result.states_explored}")
         if result.unknown:
-            print("verdict: unknown (state budget or search depth exhausted)")
+            print("verdict: unknown (state budget exhausted)")
             return EXIT_BUDGET
         if not result.solvable:
             print("verdict: unsolvable")

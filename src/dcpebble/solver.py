@@ -8,9 +8,10 @@ they are the reference every other computation is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .graphs import Graph, max_undominated_component
+from .graphs import Graph, dominated_mask, max_undominated_component
 from .pebbling import (
     Certificate,
     Configuration,
@@ -28,9 +29,10 @@ class SolveResult:
     """Outcome of one solvability query.
 
     ``solvable`` is True/False for a decided query and None when the state
-    budget ran out or the search went deeper than the interpreter's
-    recursion limit (an explicitly unknown outcome, never reported as
+    budget ran out (an explicitly unknown outcome, never reported as
     unsolvable).  ``certificate`` is present exactly when solvable.
+    ``states_explored`` counts the configurations the search stored: those
+    it expanded and those a weight bound pruned.
     """
 
     solvable: bool | None
@@ -94,58 +96,152 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     """Decide whether some configuration reachable from ``c`` (including
     ``c`` itself) satisfies ``goal``.
 
-    Depth-first search over the reachability DAG (every move burns one
-    pebble, so depth is at most the configuration size) with a memo set of
-    visited configurations.  The verdict is independent of exploration
-    order; the certificate uses fixed lowest-index move ordering and is
-    therefore deterministic.
+    Depth-first search over the reachability DAG with an explicit stack
+    and a set of visited configurations.  Moves are tried by lowest source,
+    then adjacency order, and the search descends into the first unvisited
+    child, so the certificate is deterministic.  A child whose weight
+    bound (see :func:`_potential`) proves it unsolvable is stored as
+    visited but not expanded: every configuration reachable from it fails
+    the bound too, and every goal configuration meets it, so pruning
+    changes neither the verdict nor the first solution found.
+    ``states_explored`` counts the stored configurations, pruned ones
+    included, and the budget caps it.
     """
     check_sized(g, c)
     initial = tuple(int(k) for k in c)
-    visited: set[Configuration] = set()
+    if satisfies_mask(g, support_mask(initial), goal):
+        return SolveResult(True, Certificate(initial), 0)
+    if budget <= 0:
+        return SolveResult(None, None, 0)
+    pot, guard, deltas = _potential(g, initial, goal)
+    visited = {initial}
+    if pot & guard != guard:
+        return SolveResult(False, None, 1)
     adj = g.adj
-    n = g.n
-    over = False
+    stack = [_children(list(initial), pot, adj, deltas)]
+    moves: list[tuple[int, int]] = []  # the move into each stack frame
+    while stack:
+        for child, pot, u, v in stack[-1]:
+            if child in visited:
+                continue
+            live = pot & guard == guard
+            if live and satisfies_mask(g, support_mask(child), goal):
+                moves.append((u, v))
+                return SolveResult(True, Certificate(initial, tuple(moves)),
+                                   len(visited))
+            if len(visited) >= budget:
+                return SolveResult(None, None, len(visited))
+            visited.add(child)
+            if live:
+                moves.append((u, v))
+                stack.append(_children(list(child), pot, adj, deltas))
+                break
+        else:
+            stack.pop()
+            if moves:
+                moves.pop()
+    return SolveResult(False, None, len(visited))
 
-    def dfs(counts: Configuration) -> list[tuple[int, int]] | None:
-        nonlocal over
-        if satisfies_mask(g, support_mask(counts), goal):
+
+def _children(work: list[int], pot: int, adj, deltas
+              ) -> Iterator[tuple[Configuration, int, int, int]]:
+    """Each configuration one move from ``work``, with its packed potential
+    and the move (u, v), by lowest source, then adjacency order."""
+    for u, targets in enumerate(adj):
+        if work[u] >= 2:
+            work[u] -= 2
+            for v, delta in zip(targets, deltas[u]):
+                work[v] += 1
+                yield tuple(work), pot + delta, u, v
+                work[v] -= 1
+            work[u] += 2
+
+
+# Connected sets counted before a subversion goal is left without a bound.
+_MAX_TARGET_SETS = 1024
+
+
+def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
+    """Vertex weights 2^(diam - dist(v, T)) and need of each target T.
+
+    Weight function lemma: a move never raises sum_v c_v 2^-dist(v, T), so
+    a configuration whose sum is below what every goal configuration has
+    is unsolvable.  Domination and subversion(omega) need a pebble on the
+    closed neighbourhood of every connected (omega + 1)-set, which would
+    otherwise be undominated (only the inclusion-minimal ones are kept);
+    cover needs a pebble on every vertex, so target {t} needs the sum over
+    all vertices.
+    """
+    top = g.diameter
+    if goal.kind == "cover":
+        rows = [[1 << (top - d) for d in g.dist[t]] for t in range(g.n)]
+        return [(row, sum(row)) for row in rows]
+    sets = {1 << v for v in range(g.n)}
+    for _ in range(goal.omega):
+        grown = set()
+        for s in sets:
+            rim = dominated_mask(g, s) & ~s
+            while rim:
+                low = rim & -rim
+                grown.add(s | low)
+                rim ^= low
+        if len(grown) > _MAX_TARGET_SETS:
             return []
-        if len(visited) >= budget:
-            over = True
-            return None
-        visited.add(counts)
-        work = list(counts)
-        for u in range(n):
-            if work[u] >= 2:
-                for v in adj[u]:
-                    work[u] -= 2
-                    work[v] += 1
-                    child = tuple(work)
-                    work[u] += 2
-                    work[v] -= 1
-                    if child not in visited:
-                        sub = dfs(child)
-                        if sub is not None:
-                            sub.append((u, v))
-                            return sub
-                        if over:
-                            return None
-        return None
+        sets = grown
+    minimal: list[int] = []
+    for mask in sorted({dominated_mask(g, s) for s in sets},
+                       key=lambda m: (m.bit_count(), m)):
+        if all(m & mask != m for m in minimal):
+            minimal.append(mask)
+    return [([1 << (top - min(d for t, d in enumerate(g.dist[v])
+                              if mask >> t & 1))
+              for v in range(g.n)], 1 << top)
+            for mask in minimal]
 
-    try:
-        moves_rev = dfs(initial)
-    except RecursionError:
-        # Deeper than the interpreter's stack allows: undecided, like a
-        # spent budget.
-        return SolveResult(None, None, len(visited))
-    states = len(visited)
-    if moves_rev is not None:
-        cert = Certificate(initial, tuple(reversed(moves_rev)))
-        return SolveResult(True, cert, states)
-    if over:
-        return SolveResult(None, None, states)
-    return SolveResult(False, None, states)
+
+# The width grows with the configuration size, so a graph and goal take a
+# few entries; this holds a few hundred graph-goal pairs without eviction.
+@lru_cache(maxsize=1024)
+def _packed_weights(g: Graph, goal: Goal, w: int
+                    ) -> tuple[tuple[int, ...], int, int,
+                               tuple[tuple[int, ...], ...]]:
+    """Every target's weights packed into one int, ``w`` bits a target.
+
+    Returns per-vertex weights, the base (2^(w-1) - need in each field),
+    the guard (bit w-1 of each field) and the potential change of each
+    move, indexed like ``g.adj``.
+    """
+    half = 1 << (w - 1)
+    weights = [0] * g.n
+    base = guard = 0
+    for i, (row, need) in enumerate(_targets(g, goal)):
+        shift = w * i
+        base += (half - need) << shift
+        guard |= half << shift
+        for v, x in enumerate(row):
+            weights[v] += x << shift
+    deltas = tuple(tuple(weights[v] - 2 * weights[u] for v in targets)
+                   for u, targets in enumerate(g.adj))
+    return tuple(weights), base, guard, deltas
+
+
+def _potential(g: Graph, c: Configuration, goal: Goal
+               ) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """Packed slack (potential minus need) of ``c`` for every target of
+    ``goal``, the guard bits and the per-move deltas.
+
+    Each field holds slack + 2^(w-1), and ``w`` leaves room for any slack
+    of a configuration of at most ``c``'s size, so no field borrows from or
+    carries into its neighbour, and its top bit is set exactly when the
+    slack is non-negative: the bound proves ``c`` unsolvable iff
+    ``pot & guard != guard``.
+    """
+    w = ((max(sum(c), g.n) + 2) << g.diameter).bit_length() + 1
+    weights, pot, guard, deltas = _packed_weights(g, goal, w)
+    for k, x in zip(c, weights):
+        if k:
+            pot += k * x
+    return pot, guard, deltas
 
 
 # ---------------------------------------------------------------------------

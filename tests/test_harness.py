@@ -69,7 +69,7 @@ def test_analyze_order6_subversion_finding():
     witness = (0, 0, 0, 0, 0, 5)
     assert pebbling_value(g, subversion(1)).witness == witness
     res = is_solvable(g, witness, subversion(1))
-    assert res.solvable is False and res.states_explored == 7
+    assert res.solvable is False and res.states_explored == 6
 
 
 def test_sweep_orders1_to_6_matches_pinned_csv():

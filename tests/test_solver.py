@@ -1,11 +1,14 @@
+import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcpebble import (
     DOMINATION,
     FULL_COVER,
     binary_tree,
+    build_graph,
     complete,
     connected_graphs,
     emit_graph6,
@@ -14,13 +17,14 @@ from dcpebble import (
     path,
     pebbling_value,
     pebbling_values,
+    satisfies,
     star,
     stacking_value,
     subversion,
     verify_certificate,
     wheel,
 )
-from dcpebble.solver import configurations
+from dcpebble.solver import _potential, configurations, default_cap
 
 
 P4 = path(4)
@@ -90,22 +94,140 @@ def test_budget_reports_unknown_not_false():
     assert res.unknown and res.solvable is None
     res = is_solvable(P4, (0, 0, 0, 4), DOMINATION, budget=2)
     assert res.unknown and res.solvable is None
-    # a stack too deep for the recursive search is unknown, not a crash
+    # a solvable 1500-pebble stack whose search outgrows the budget is
+    # unknown, not a crash and not "unsolvable"
     res = is_solvable(path(12), (1500,) + (0,) * 11, DOMINATION,
                       budget=100_000)
     assert res.unknown and res.solvable is None
+    assert res.states_explored == 100_000
+
+
+def test_search_result_independent_of_stack_depth():
+    # The search keeps its own stack: the caller's depth and the
+    # interpreter's recursion limit change nothing.
+    g, c = path(12), (1500,) + (0,) * 11
+    top = is_solvable(g, c, DOMINATION, budget=5000)
+    assert top.unknown and top.states_explored == 5000
+
+    def nested(depth):
+        if depth:
+            return nested(depth - 1)
+        return is_solvable(g, c, DOMINATION, budget=5000)
+
+    assert nested(200) == top
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert is_solvable(g, c, DOMINATION, budget=5000) == top
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_weight_bound_decides_at_the_root():
+    # 500 pebbles on an end of path(12) weigh 500/1024 on N[11] = {10, 11}
+    res = is_solvable(path(12), (500,) + (0,) * 11, DOMINATION)
+    assert res.solvable is False and res.states_explored == 1
+    # cover needs 1 + 2 + 4 = 7 on {2} of path(3), one pebble a vertex
+    res = is_solvable(path(3), (6, 0, 0), FULL_COVER)
+    assert res.solvable is False and res.states_explored == 1
 
 
 def test_is_solvable_relabeling_invariant():
     g = star(5)
     perm = (4, 0, 2, 3, 1)  # relabel star: 0->4, 1->0, ...
     edges = [(perm[u], perm[v]) for u, v in g.edges]
-    from dcpebble import build_graph
     h = build_graph(5, edges)
     for c in configurations(5, 3):
         c_perm = tuple(c[perm.index(v)] for v in range(5))
         assert is_solvable(g, c, DOMINATION).solvable == \
             is_solvable(h, c_perm, DOMINATION).solvable
+
+
+# ---------------------------------------------------------------------------
+# the search against a recursive, unpruned reference
+# ---------------------------------------------------------------------------
+
+def reference_moves(g, c, goal):
+    """First solution of a recursive depth-first search without any
+    bound, in the same move order as is_solvable; None if unsolvable."""
+    visited = set()
+
+    def dfs(counts):
+        if satisfies(g, counts, goal):
+            return []
+        visited.add(counts)
+        for u in range(g.n):
+            if counts[u] >= 2:
+                for v in g.adj[u]:
+                    child = list(counts)
+                    child[u] -= 2
+                    child[v] += 1
+                    child = tuple(child)
+                    if child not in visited:
+                        sub = dfs(child)
+                        if sub is not None:
+                            sub.append((u, v))
+                            return sub
+        return None
+
+    moves = dfs(tuple(c))
+    return None if moves is None else tuple(reversed(moves))
+
+
+def refuted(g, c, goal):
+    pot, guard, _ = _potential(g, tuple(c), goal)
+    return pot & guard != guard
+
+
+ALL_GOALS = (DOMINATION, subversion(1), subversion(2), FULL_COVER)
+
+
+@pytest.mark.parametrize("goal", ALL_GOALS, ids=lambda goal: goal.describe())
+def test_search_matches_unpruned_reference(goal):
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            for size in range(min(default_cap(g, goal), 8) + 1):
+                for c in configurations(n, size):
+                    res = is_solvable(g, c, goal)
+                    want = reference_moves(g, c, goal)
+                    assert res.solvable == (want is not None), (g, c)
+                    if want is not None:
+                        assert res.certificate.moves == want, (g, c)
+
+
+@st.composite
+def graph_configuration_goal(draw):
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8))
+                 if pairs else [])
+    g = build_graph(n, edges)
+    counts = [0] * n
+    for v, k in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(1, 12)), max_size=3)):
+        counts[v] += k
+    c = tuple(counts)
+    goal = draw(st.sampled_from(ALL_GOALS + (subversion(3),)))
+    return g, c, goal
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_configuration_goal())
+def test_weight_bound_is_sound(case):
+    g, c, goal = case
+    if refuted(g, c, goal):
+        assert reference_moves(g, c, goal) is None
+    if satisfies(g, c, goal):
+        assert not refuted(g, c, goal)
+
+
+def test_goal_with_too_many_connected_sets_is_searched_unpruned():
+    # complete(16) has C(16, 8) connected 8-sets: subversion(7) gets no
+    # bound, and the search still decides
+    g, empty = complete(16), (0,) * 16
+    assert not refuted(g, empty, subversion(7))
+    assert is_solvable(g, empty, subversion(7)).solvable is False
 
 
 # ---------------------------------------------------------------------------
