@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .families import psi_upper_bound
 from .graphs import Graph, dominated_mask, max_undominated_component
 from .pebbling import (
     Certificate,
@@ -18,7 +19,6 @@ from .pebbling import (
     Goal,
     check_sized,
     satisfies_mask,
-    support_mask,
 )
 
 DEFAULT_STATE_BUDGET = 10_000_000
@@ -97,64 +97,51 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     ``c`` itself) satisfies ``goal``.
 
     Depth-first search over the reachability DAG with an explicit stack
-    and a set of visited configurations.  Moves are tried by lowest source,
-    then adjacency order, and the search descends into the first unvisited
-    child, so the certificate is deterministic.  A child whose weight
-    bound (see :func:`_potential`) proves it unsolvable is stored as
-    visited but not expanded: every configuration reachable from it fails
-    the bound too, and every goal configuration meets it, so pruning
-    changes neither the verdict nor the first solution found.
-    ``states_explored`` counts the stored configurations, pruned ones
-    included, and the budget caps it.
+    and a set of visited configurations.  Each configuration is one int
+    that also carries the slack of every weight bound (see
+    :class:`_Packing`), so a move is one addition.  Moves are tried by
+    lowest source, then adjacency order, and the search descends into the
+    first unvisited child, so the certificate is deterministic.  A child
+    whose weight bound proves it unsolvable is stored as visited but not
+    expanded: every configuration reachable from it fails the bound too,
+    and every goal configuration meets it, so pruning changes neither the
+    verdict nor the first solution found.  ``states_explored`` counts the
+    stored configurations, pruned ones included, and the budget caps it.
+    A count that is not a non-negative int raises :class:`PebblingError`.
     """
     check_sized(g, c)
-    initial = tuple(int(k) for k in c)
-    if satisfies_mask(g, support_mask(initial), goal):
-        return SolveResult(True, Certificate(initial), 0)
-    if budget <= 0:
-        return SolveResult(None, None, 0)
-    pot, guard, deltas = _potential(g, initial, goal)
-    visited = {initial}
-    if pot & guard != guard:
-        return SolveResult(False, None, 1)
-    adj = g.adj
-    stack = [_children(list(initial), pot, adj, deltas)]
-    moves: list[tuple[int, int]] = []  # the move into each stack frame
+    initial = Certificate(c).initial
+    p = _packing(g, goal, sum(initial).bit_length())
+    guard, low, high = p.guard, p.low, p.high
+    met: dict[int, bool] = {}  # goal verdict by occupied count fields
+    visited: set[int] = set()
+    moves: list[tuple[int, int]] = []  # the path's moves, dummy first
+    # The root enters by a dummy move and is handled like any child.
+    stack = [iter([(p.pack(initial), -1, -1)])]
     while stack:
-        for child, pot, u, v in stack[-1]:
-            if child in visited:
+        for x, u, v in stack[-1]:
+            if x in visited:
                 continue
-            live = pot & guard == guard
-            if live and satisfies_mask(g, support_mask(child), goal):
-                moves.append((u, v))
-                return SolveResult(True, Certificate(initial, tuple(moves)),
-                                   len(visited))
+            live = x & guard == guard
+            if live:
+                occupied = ((x & low) + low | x) & high
+                if occupied not in met:
+                    met[occupied] = satisfies_mask(g, p.support(x), goal)
+                if met[occupied]:
+                    solution = Certificate(initial, (*moves, (u, v))[1:])
+                    return SolveResult(True, solution, len(visited))
             if len(visited) >= budget:
                 return SolveResult(None, None, len(visited))
-            visited.add(child)
+            visited.add(x)
             if live:
                 moves.append((u, v))
-                stack.append(_children(list(child), pot, adj, deltas))
+                stack.append(p.children(x))
                 break
         else:
             stack.pop()
             if moves:
                 moves.pop()
     return SolveResult(False, None, len(visited))
-
-
-def _children(work: list[int], pot: int, adj, deltas
-              ) -> Iterator[tuple[Configuration, int, int, int]]:
-    """Each configuration one move from ``work``, with its packed potential
-    and the move (u, v), by lowest source, then adjacency order."""
-    for u, targets in enumerate(adj):
-        if work[u] >= 2:
-            work[u] -= 2
-            for v, delta in zip(targets, deltas[u]):
-                work[v] += 1
-                yield tuple(work), pot + delta, u, v
-                work[v] -= 1
-            work[u] += 2
 
 
 # Connected sets counted before a subversion goal is left without a bound.
@@ -199,49 +186,68 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
             for mask in minimal]
 
 
-# The width grows with the configuration size, so a graph and goal take a
+class _Packing:
+    """Configurations of fewer than 2^bits pebbles on ``g`` as one int.
+
+    ``fields[v]`` is (unit, mask, 1 << v) of vertex v's count field, which
+    is ``bits`` bits wide (at least 1).  Above the counts, each target of
+    ``goal`` (none for ``None``) has an s-bit field holding its slack +
+    2^(s-1).  Slacks lie above -n*2^diam and below 2^bits*2^diam, so no
+    field over- or underflows, and the bounds prove ``x`` unsolvable iff
+    ``x & guard != guard``.  A pebble on v adds ``weights[v]``.
+    ``moves[u]`` is the mask of u's count bits worth 2 or more, ``g.adj[u]``
+    and what a move to each of those vertices adds.  The top bit of every
+    non-zero count field is set in ``((x & low) + low | x) & high``.
+    """
+
+    def __init__(self, g: Graph, goal: Goal | None, bits: int):
+        n, w = g.n, max(bits, 1)
+        s = max(bits, n.bit_length()) + g.diameter + 1
+        self.w = w
+        self.fields = tuple((1 << w * v, ((1 << w) - 1) << w * v, 1 << v)
+                            for v in range(n))
+        weights = [unit for unit, _, _ in self.fields]
+        base = guard = 0
+        for i, (row, need) in enumerate(_targets(g, goal) if goal else ()):
+            shift = w * n + s * i
+            base += ((1 << s - 1) - need) << shift
+            guard |= 1 << shift + s - 1
+            for v, x in enumerate(row):
+                weights[v] += x << shift
+        self.weights, self.base, self.guard = tuple(weights), base, guard
+        self.moves = tuple(
+            (((1 << w) - 2) << w * u, targets,
+             tuple(weights[v] - 2 * weights[u] for v in targets))
+            for u, targets in enumerate(g.adj))
+        ones = sum(unit for unit, _, _ in self.fields)
+        self.high = ones << w - 1
+        self.low = self.high - ones
+
+    def children(self, x: int) -> Iterator[tuple[int, int, int]]:
+        """Each (x after u -> v, u, v), by lowest source, then adjacency."""
+        for u, (send, targets, deltas) in enumerate(self.moves):
+            if x & send:
+                for v, delta in zip(targets, deltas):
+                    yield x + delta, u, v
+
+    def support(self, x: int) -> int:
+        """Bitmask of the vertices that hold a pebble in ``x``."""
+        mask = 0
+        for _, field, bit in self.fields:
+            if x & field:
+                mask |= bit
+        return mask
+
+    def pack(self, c: Sequence[int]) -> int:
+        return self.base + sum(k * x for k, x in zip(c, self.weights))
+
+    def unpack(self, x: int) -> Configuration:
+        return tuple((x & field) // unit for unit, field, _ in self.fields)
+
+
+# The widths grow with the configuration size, so a graph and goal take a
 # few entries; this holds a few hundred graph-goal pairs without eviction.
-@lru_cache(maxsize=1024)
-def _packed_weights(g: Graph, goal: Goal, w: int
-                    ) -> tuple[tuple[int, ...], int, int,
-                               tuple[tuple[int, ...], ...]]:
-    """Every target's weights packed into one int, ``w`` bits a target.
-
-    Returns per-vertex weights, the base (2^(w-1) - need in each field),
-    the guard (bit w-1 of each field) and the potential change of each
-    move, indexed like ``g.adj``.
-    """
-    half = 1 << (w - 1)
-    weights = [0] * g.n
-    base = guard = 0
-    for i, (row, need) in enumerate(_targets(g, goal)):
-        shift = w * i
-        base += (half - need) << shift
-        guard |= half << shift
-        for v, x in enumerate(row):
-            weights[v] += x << shift
-    deltas = tuple(tuple(weights[v] - 2 * weights[u] for v in targets)
-                   for u, targets in enumerate(g.adj))
-    return tuple(weights), base, guard, deltas
-
-
-def _potential(g: Graph, c: Configuration, goal: Goal
-               ) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """Packed slack (potential minus need) of ``c`` for every target of
-    ``goal``, the guard bits and the per-move deltas.
-
-    Each field holds slack + 2^(w-1), and ``w`` leaves room for any slack
-    of a configuration of at most ``c``'s size, so no field borrows from or
-    carries into its neighbour, and its top bit is set exactly when the
-    slack is non-negative: the bound proves ``c`` unsolvable iff
-    ``pot & guard != guard``.
-    """
-    w = ((max(sum(c), g.n) + 2) << g.diameter).bit_length() + 1
-    weights, pot, guard, deltas = _packed_weights(g, goal, w)
-    for k, x in zip(c, weights):
-        if k:
-            pot += k * x
-    return pot, guard, deltas
+_packing = lru_cache(maxsize=1024)(_Packing)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +265,7 @@ def default_cap(g: Graph, goal: Goal) -> int:
     """
     if goal.kind == "cover":
         return lambda_stacking(g).value
-    if g.diameter <= 2:
-        return max(g.n - 1, 1)
-    return (1 << (g.diameter - 2)) * (g.n - 2) + 1
+    return psi_upper_bound(g.n, g.diameter) if g.n > 1 else 1
 
 
 def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
@@ -286,9 +290,11 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     the smallest omega, so the kept levels equal those of a scan over all
     configurations.
 
-    Domination and subversion goals share a scan; cover scans alone.
-    ``checked`` counts scored candidates.  Once it exceeds ``budget`` every
-    goal still open gets a ``"budget"`` report, and past ``cap`` (default
+    Configurations are packed ints of counts alone (see :class:`_Packing`),
+    so colex order is integer order and a move is one addition.  Domination
+    and subversion goals share a scan; cover scans alone.  ``checked``
+    counts scored candidates.  Once it exceeds ``budget`` every goal still
+    open gets a ``"budget"`` report, and past ``cap`` (default
     :func:`default_cap`) a ``"cap"`` report.
     """
     if len({goal.kind == "cover" for goal in goals}) != 1:
@@ -299,52 +305,49 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         raise ValueError("cap must be >= 0")
     cover = goals[0].kind == "cover"
     floor = min(goal.omega for goal in goals)
-    adj = g.adj
-    support_scores: dict[int, int] = {}
+    p = _packing(g, None, cap.bit_length())
+    low, high = p.low, p.high
+    support_scores: dict[int, int] = {}  # by occupied count fields
     reports: list[NumberReport | None] = [None] * len(goals)
-    prev: dict[Configuration, int] = {}
+    prev: dict[int, int] = {}
     checked = 0
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
-                witness = next((c for c, s in reversed(prev.items())
+                witness = next((p.unpack(x) for x, s in reversed(prev.items())
                                 if s > goal.omega), None)
                 reports[i] = NumberReport(value, witness, status, checked)
         return reports
 
     for k in range(cap + 1):
-        level: dict[Configuration, int] = {}
-        for counts in _upper_shadow(prev, g.n) if k else [(0,) * g.n]:
+        level: dict[int, int] = {}
+        for x in _upper_shadow(prev, p) if k else [0]:
             checked += 1
             if budget is not None and checked > budget:
                 return settle(k, "budget")
-            mask = support_mask(counts)
-            score = support_scores.get(mask)
+            occupied = ((x & low) + low | x) & high
+            score = support_scores.get(occupied)
             if score is None:
-                score = support_scores[mask] = (
+                mask = p.support(x)
+                score = support_scores[occupied] = (
                     int(mask != g.full_mask) if cover
                     else max_undominated_component(g, mask))
             # Probe moves by lowest source, then adjacency order, until one
             # leaves the kept set.
-            work = list(counts)
-            for u, targets in enumerate(adj):
+            for send, _, deltas in p.moves:
                 if score <= floor:
                     break
-                if work[u] >= 2:
-                    work[u] -= 2
-                    for v in targets:
-                        work[v] += 1
-                        child = prev.get(tuple(work), floor)
-                        work[v] -= 1
+                if x & send:
+                    for delta in deltas:
+                        child = prev.get(x + delta, floor)
                         if child < score:
                             score = child
                             if score <= floor:
                                 break
-                    work[u] += 2
             if score > floor:
-                level[counts] = score
+                level[x] = score
         settle(k, "exact", max(level.values(), default=floor))
         if not level:
             return reports
@@ -352,31 +355,27 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     return settle(cap + 1, "cap")
 
 
-def _upper_shadow(prev: dict[Configuration, int], n: int
-                  ) -> Iterator[Configuration]:
+def _upper_shadow(prev: dict[int, int], p: _Packing) -> Iterator[int]:
     """Configurations one pebble larger than ``prev`` whose every
     one-pebble-smaller neighbour lies in ``prev``, in colex order.
 
-    Each is built once, from the parent that lacks one pebble on its
-    highest occupied vertex v.  ``prev`` is in colex order, so the parents
-    whose highest occupied vertex is at most v form a prefix of it, and a
-    pebble added at v keeps their order.
+    ``p`` packs configurations without slack fields, so colex order is
+    integer order.  Each is built once, from the parent that lacks one
+    pebble on its highest occupied vertex v.  ``prev`` is sorted, so the
+    parents whose highest occupied vertex is at most v are those below
+    the unit of vertex v + 1, and a pebble added at v keeps their order.
     """
-    for v in range(n):
+    for v, (unit, _, _) in enumerate(p.fields):
+        below, top = p.fields[:v], unit << p.w
         for c in prev:
-            if any(c[v + 1:]):
+            if c >= top:
                 break
-            work = list(c)
-            work[v] += 1
-            for u in range(v):
-                if work[u]:
-                    work[u] -= 1
-                    below = tuple(work) in prev
-                    work[u] += 1
-                    if not below:
-                        break
+            x = c + unit
+            for unit_u, field, _ in below:
+                if x & field and x - unit_u not in prev:
+                    break
             else:
-                yield tuple(work)
+                yield x
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,

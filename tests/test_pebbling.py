@@ -14,6 +14,7 @@ from dcpebble import (
     connected_graphs,
     cycle,
     format_configuration,
+    is_solvable,
     pairing_number,
     parse_configuration,
     partition_covered,
@@ -173,6 +174,11 @@ def test_certificate_rejects_non_integers():
                            ((-1, 0), ())):
         with pytest.raises(PebblingError):
             Certificate(initial, moves)
+    # is_solvable checks its configuration with the same rule
+    for g, c in ((path(3), (-1, 0, 0)), (path(3), (2.7, 0, 0)),
+                 (star(4), (5, -3, 0, 0))):
+        with pytest.raises(PebblingError):
+            is_solvable(g, c, DOMINATION)
 
 
 def test_certificate_bad_json():

@@ -24,7 +24,7 @@ from dcpebble import (
     verify_certificate,
     wheel,
 )
-from dcpebble.solver import _potential, configurations, default_cap
+from dcpebble.solver import _packing, configurations, default_cap
 
 
 P4 = path(4)
@@ -175,8 +175,8 @@ def reference_moves(g, c, goal):
 
 
 def refuted(g, c, goal):
-    pot, guard, _ = _potential(g, tuple(c), goal)
-    return pot & guard != guard
+    p = _packing(g, goal, sum(c).bit_length())
+    return p.pack(c) & p.guard != p.guard
 
 
 ALL_GOALS = (DOMINATION, subversion(1), subversion(2), FULL_COVER)
@@ -184,15 +184,19 @@ ALL_GOALS = (DOMINATION, subversion(1), subversion(2), FULL_COVER)
 
 @pytest.mark.parametrize("goal", ALL_GOALS, ids=lambda goal: goal.describe())
 def test_search_matches_unpruned_reference(goal):
-    for n in range(1, 6):
-        for g in connected_graphs(n):
-            for size in range(min(default_cap(g, goal), 8) + 1):
-                for c in configurations(n, size):
-                    res = is_solvable(g, c, goal)
-                    want = reference_moves(g, c, goal)
-                    assert res.solvable == (want is not None), (g, c)
-                    if want is not None:
-                        assert res.certificate.moves == want, (g, c)
+    cases = [(g, c) for n in range(1, 6) for g in connected_graphs(n)
+             for size in range(min(default_cap(g, goal), 8) + 1)
+             for c in configurations(n, size)]
+    # single stacks on either side of the 4-, 5- and 6-bit count fields
+    cases += [(g, tuple(size * (u == v) for u in range(n)))
+              for n in (4, 5) for g in connected_graphs(n)
+              for size in (15, 16, 31, 32) for v in range(n)]
+    for g, c in cases:
+        res = is_solvable(g, c, goal)
+        want = reference_moves(g, c, goal)
+        assert res.solvable == (want is not None), (g, c)
+        if want is not None:
+            assert res.certificate.moves == want, (g, c)
 
 
 @st.composite
