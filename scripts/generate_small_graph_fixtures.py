@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Regenerate src/dcpebble/data/connected_{n}.g6 for n = 1..6.
+"""Regenerate src/dcpebble/data/connected_{n}.g6 for every order n in
+``dcpebble.fixtures.CONNECTED_COUNTS``.
 
-Enumerates every labeled graph on n vertices, keeps the connected ones,
-and writes one representative per isomorphism class: the graph whose
-edge bitmask is minimal over all vertex permutations.  Brute force is fine
-at this scale (2^15 masks and 720 permutations at n = 6).
+Every connected graph has a vertex whose removal leaves it connected, so
+each order-n class is an order-(n-1) class plus one new vertex joined to a
+non-empty subset of the old ones.  The new vertex is vertex 0: with edges
+indexed in ``combinations(range(n), 2)`` order, its edges take the low n-1
+bits and the old graph's mask moves up by n-1.  One representative per
+isomorphism class is kept: the edge bitmask that is minimal over all
+vertex permutations.
 
-Lines are ordered by (edge count, canonical mask).  Expected class counts:
-1, 1, 2, 6, 21, 112.
+Lines are ordered by (edge count, canonical mask).
 """
 
 from __future__ import annotations
@@ -18,70 +21,38 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from dcpebble.fixtures import CONNECTED_COUNTS  # noqa: E402
 from dcpebble.graphs import build_graph, emit_graph6  # noqa: E402
 
-EXPECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
-
-def connected_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
-    adj = [0] * n
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
-def canonical_masks(n: int) -> list[int]:
+def extend(n: int, smaller: list[int]) -> list[int]:
+    """Canonical masks of the connected order-n graphs, from those of
+    order n-1."""
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    remaps = []
-    for perm in permutations(range(n)):
-        remap = [0] * len(pairs)
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            remap[i] = index[(a, b) if a < b else (b, a)]
-        remaps.append(remap)
+    remaps = [[index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+              for perm in permutations(range(n))]
 
-    out = []
-    for mask in range(1 << len(pairs)):
-        if not connected_mask(n, pairs, mask):
-            continue
-        is_canon = True
-        for remap in remaps:
-            other = 0
-            m = mask
-            while m:
-                low = m & -m
-                other |= 1 << remap[low.bit_length() - 1]
-                m ^= low
-            if other < mask:
-                is_canon = False
-                break
-        if is_canon:
-            out.append(mask)
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    def canonical(mask: int) -> int:
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        return min(sum(1 << remap[i] for i in bits) for remap in remaps)
+
+    found = {canonical(old << (n - 1) | joined)
+             for old in smaller for joined in range(1, 1 << (n - 1))}
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 def main() -> None:
     data_dir = Path(__file__).resolve().parent.parent / "src" / "dcpebble" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    for n in range(1, 7):
+    masks = [0]  # order 1: one vertex, no edges
+    for n in sorted(CONNECTED_COUNTS):
+        if n > 1:
+            masks = extend(n, masks)
+        if len(masks) != CONNECTED_COUNTS[n]:
+            raise SystemExit(f"order {n}: {len(masks)} classes, "
+                             f"expected {CONNECTED_COUNTS[n]}")
         pairs = list(combinations(range(n), 2))
-        masks = canonical_masks(n)
-        assert len(masks) == EXPECTED[n], (n, len(masks))
         lines = []
         for mask in masks:
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]

@@ -89,18 +89,11 @@ def _read_graph_lines(args) -> list[str]:
             raise CliError(f"cannot read {path}: {exc}") from exc
         if path.suffix == ".g6":
             return [ln.strip() for ln in text.splitlines() if ln.strip()]
-        return [emit_graph6(_parse(parse_edge_list, text))]
+        return [emit_graph6(parse_edge_list(text))]
     lines = [ln.strip() for ln in sys.stdin.read().splitlines() if ln.strip()]
     if not lines:
         raise CliError("no graph input on stdin and no --graph given")
     return lines
-
-
-def _parse(fn, text):
-    try:
-        return fn(text)
-    except GraphError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _single_graph(args) -> Graph:
@@ -108,7 +101,7 @@ def _single_graph(args) -> Graph:
     if len(lines) != 1:
         raise CliError(
             f"expected exactly one graph, got {len(lines)} (use sweep for streams)")
-    return _parse(parse_graph6, lines[0])
+    return parse_graph6(lines[0])
 
 
 def _goal_from(args) -> Goal:
@@ -162,10 +155,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _single_graph(args)
-    try:
-        config = parse_configuration(args.config, g.n)
-    except PebblingError as exc:
-        raise CliError(str(exc)) from exc
+    config = parse_configuration(args.config, g.n)
 
     if args.algorithm == "oracle":
         goal = _goal_from(args)
@@ -180,24 +170,20 @@ def _cmd_solve(args) -> int:
         cert = result.certificate
     else:
         goal = DOMINATION
-        try:
-            if args.algorithm == "diam2":
-                cert = solve_diameter2(g, config)
-            elif args.algorithm == "spread":
-                cert = spread_diameter2(g, config)
-            elif args.algorithm == "diamd":
-                cert = solve_diameter_d(
-                    g, config, check_invariants=not args.skip_invariants)
-            elif args.algorithm == "subversion":
-                if args.omega is None:
-                    raise CliError("solve subversion requires --omega")
-                goal = subversion(args.omega)
-                cert = solve_subversion_diameter2(g, config, args.omega)
-            else:
-                raise CliError(f"unknown algorithm {args.algorithm!r}")
-        except PreconditionError as exc:
-            print(f"precondition failed: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        if args.algorithm == "diam2":
+            cert = solve_diameter2(g, config)
+        elif args.algorithm == "spread":
+            cert = spread_diameter2(g, config)
+        elif args.algorithm == "diamd":
+            cert = solve_diameter_d(
+                g, config, check_invariants=not args.skip_invariants)
+        elif args.algorithm == "subversion":
+            if args.omega is None:
+                raise CliError("solve subversion requires --omega")
+            goal = subversion(args.omega)
+            cert = solve_subversion_diameter2(g, config, args.omega)
+        else:
+            raise CliError(f"unknown algorithm {args.algorithm!r}")
 
     verdict = verify_certificate(g, cert, goal)
     print(cert.to_json())
@@ -219,10 +205,7 @@ def _cmd_verify(args) -> int:
             text = Path(args.certificate).read_text()
         except OSError as exc:
             raise CliError(f"cannot read {args.certificate}: {exc}") from exc
-    try:
-        cert = Certificate.from_json(text)
-    except PebblingError as exc:
-        raise CliError(str(exc)) from exc
+    cert = Certificate.from_json(text)
     goal = _goal_from(args)
     result = verify_certificate(g, cert, goal)
     if result.ok:
@@ -389,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_non_negative,
                    help="per-scan budget of candidate configurations "
                         "scored; exhaustion marks the record unknown")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_non_negative, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", metavar="FILE", help="write report here instead of stdout")
     p.add_argument("--cross-check-lambda", action="store_true",
@@ -403,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--format", choices=["g6", "edgelist"], default="g6")
     p.add_argument("--order", type=int, help="order for random graphs")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_non_negative, default=1)
     p.add_argument("--diameter", metavar="LO[:HI]",
                    help="diameter constraint for random graphs")
     p.add_argument("--seed", type=int, default=0)

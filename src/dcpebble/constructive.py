@@ -4,7 +4,10 @@ Each solver realizes one of the structural arguments behind the diameter
 bounds as an executable algorithm: it takes a configuration at or above the
 relevant size threshold and emits an explicit move sequence whose terminal
 support meets the goal.  Every "choose some vertex" step is resolved with
-lowest-index tie-breaking so certificates are reproducible.
+lowest-index tie-breaking so certificates are reproducible.  Before any
+precondition, each solver checks its configuration as ``is_solvable`` does:
+a wrong length, or a count that is not an int or is negative, raises
+PebblingError.
 
 The diameter-d solver carries its full bookkeeping state and can assert the
 eight running invariants that make its accounting sound; a violation is an
@@ -30,6 +33,7 @@ from .pebbling import (
     PebblingMove,
     check_sized,
     clumping_number,
+    replay_moves,
     satisfies,
     satisfies_mask,
 )
@@ -92,18 +96,16 @@ def verify_certificate(g: Graph, cert: Certificate,
                        goal: Goal) -> VerificationResult:
     """Replay a certificate move by move and check the terminal goal.
 
-    Never raises for an invalid certificate: an illegal move yields a
-    failed result carrying the offending step index.
+    The moves are replayed by :func:`~dcpebble.pebbling.replay_moves`,
+    which shares no code with the solvers.  Never raises for an invalid
+    certificate of the right size: an illegal move yields a failed result
+    carrying the offending step index.
     """
     check_sized(g, cert.initial)
     counts = list(cert.initial)
-    for i, (u, v) in enumerate(cert.moves):
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.is_edge(u, v):
-            return VerificationResult(False, i, "illegal-move")
-        if counts[u] < 2:
-            return VerificationResult(False, i, "illegal-move")
-        counts[u] -= 2
-        counts[v] += 1
+    illegal = replay_moves(g, counts, cert.moves)
+    if illegal is not None:
+        return VerificationResult(False, illegal[0], "illegal-move")
     final = tuple(counts)
     if not satisfies(g, final, goal):
         return VerificationResult(False, None, "goal-not-met", final)
@@ -113,6 +115,13 @@ def verify_certificate(g: Graph, cert: Certificate,
 # ---------------------------------------------------------------------------
 # diameter <= 2: direct domination
 # ---------------------------------------------------------------------------
+
+def _require_pebbles(c: Configuration, need: int, formula: str) -> None:
+    size = sum(c)
+    if size < need:
+        raise PreconditionError(
+            f"needs at least {formula} = {need} pebbles, got {size}")
+
 
 def _is_dominated(g: Graph, counts: list[int], v: int) -> bool:
     return bool(support_mask(counts) & g.closed_masks[v])
@@ -223,18 +232,15 @@ def solve_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     input already dominates.
     """
     check_sized(g, c)
+    initial = Certificate(c).initial
     if g.n < 2:
         raise PreconditionError("needs at least 2 vertices")
     if g.diameter > 2:
         raise PreconditionError(
             f"graph has diameter {g.diameter}, needs at most 2")
-    size = sum(c)
-    if size < g.n - 1:
-        raise PreconditionError(
-            f"needs at least n-1 = {g.n - 1} pebbles, got {size}")
-    counts = list(c)
-    moves = _dominate_core(g, counts)
-    return Certificate(tuple(c), tuple(moves))
+    _require_pebbles(initial, g.n - 1, "n-1")
+    moves = _dominate_core(g, list(initial))
+    return Certificate(initial, tuple(moves))
 
 
 def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
@@ -246,6 +252,7 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     floor((4n-2m-3)/3) pebbles the terminal support dominates.
     """
     check_sized(g, c)
+    initial = Certificate(c).initial
     if g.diameter > 2:
         raise PreconditionError(
             f"graph has diameter {g.diameter}, needs at most 2")
@@ -254,12 +261,8 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     if not m > -(-(n - 1) // 2):
         raise PreconditionError(
             f"minimum degree {m} not above ceil((n-1)/2) = {-(-(n - 1) // 2)}")
-    threshold = (4 * n - 2 * m - 3) // 3
-    size = sum(c)
-    if size < threshold:
-        raise PreconditionError(
-            f"needs at least floor((4n-2m-3)/3) = {threshold} pebbles, got {size}")
-    counts = list(c)
+    _require_pebbles(initial, (4 * n - 2 * m - 3) // 3, "floor((4n-2m-3)/3)")
+    counts = list(initial)
     moves: list[PebblingMove] = []
     while True:
         step = None
@@ -276,7 +279,7 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
         _move(g, counts, moves, *step)
     if not satisfies_mask(g, support_mask(counts), Goal("domination")):
         raise InvariantViolation("spread terminated without dominating")
-    return Certificate(tuple(c), tuple(moves))
+    return Certificate(initial, tuple(moves))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,9 @@ def check_solver_state(g: Graph, state: SolverState, initial: Configuration,
        some vertex realizes distance d from the retired set;
     6. covered, pending, retired partition the vertex set;
     7. every retired vertex is dominated;
-    8. the move log replays from the initial configuration to counts.
+    8. the move log replays legally (every vertex in range, endpoints
+       adjacent, two pebbles at each source) from the initial
+       configuration to counts.
     """
     d = g.diameter
     clump = 1 << (d - 2)
@@ -353,14 +358,8 @@ def check_solver_state(g: Graph, state: SolverState, initial: Configuration,
     if any(not dominated >> v & 1 for v in state.retired):
         failed.append("7 (retired dominated)")
     replay = list(initial)
-    legal = True
-    for u, v in moves:
-        if replay[u] < 2 or not g.is_edge(u, v):
-            legal = False
-            break
-        replay[u] -= 2
-        replay[v] += 1
-    if not legal or tuple(replay) != counts:
+    if len(replay) != g.n or replay_moves(g, replay, moves) is not None \
+            or tuple(replay) != counts:
         failed.append("8 (reachability by replay)")
 
     if failed:
@@ -405,17 +404,13 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
     of :func:`check_solver_state` are asserted after every iteration.
     """
     check_sized(g, c)
+    initial = Certificate(c).initial
     d = g.diameter
     if d < 3:
         raise PreconditionError(f"graph has diameter {d}, needs at least 3")
     clump = 1 << (d - 2)
-    need = clump * (g.n - 2) + 1
-    size = sum(c)
-    if size < need:
-        raise PreconditionError(
-            f"needs at least 2^(d-2)*(n-2)+1 = {need} pebbles, got {size}")
+    _require_pebbles(initial, clump * (g.n - 2) + 1, "2^(d-2)*(n-2)+1")
 
-    initial = tuple(int(k) for k in c)
     counts = list(initial)
     moves: list[PebblingMove] = []
     covered = set(v for v in range(g.n) if counts[v] > 0)
@@ -516,6 +511,7 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
     set-aside vertices possibly undominated.
     """
     check_sized(g, c)
+    initial = Certificate(c).initial
     if g.diameter > 2:
         raise PreconditionError(
             f"graph has diameter {g.diameter}, needs at most 2")
@@ -525,12 +521,8 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
         raise PreconditionError(
             f"omega={omega} leaves fewer than one pebble on {g.n} vertices; "
             "the bound n-1-omega is only meaningful for omega <= n-2")
-    size = sum(c)
-    if size < g.n - 1 - omega:
-        raise PreconditionError(
-            f"needs at least n-1-omega = {g.n - 1 - omega} pebbles, got {size}")
+    _require_pebbles(initial, g.n - 1 - omega, "n-1-omega")
 
-    initial = tuple(int(k) for k in c)
     part = partition_covered(g, initial)
     if len(part.remote) <= omega:
         return Certificate(initial, ())

@@ -12,9 +12,9 @@ from importlib import resources
 
 from .graphs import Graph, parse_graph6
 
-MAX_FIXTURE_ORDER = 6
-
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+MAX_FIXTURE_ORDER = max(CONNECTED_COUNTS)
 
 
 def connected_graph6_lines(n: int) -> list[str]:

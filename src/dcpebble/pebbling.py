@@ -2,7 +2,8 @@
 
 A configuration is a plain tuple of non-negative per-vertex pebble counts.
 A pebbling move removes two pebbles from a vertex and places one on an
-adjacent vertex.  All operations are pure; inputs are never mutated.
+adjacent vertex.  Operations are pure, except that :func:`replay_moves`
+updates the count list it is given.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -68,21 +69,11 @@ def check_sized(g: Graph, c: Sequence[int]) -> None:
 def apply_move(g: Graph, c: Sequence[int], move: PebblingMove) -> Configuration:
     """Apply one pebbling move, returning the new configuration.
 
-    Requires at least two pebbles at the source and adjacent endpoints.
+    Requires at least two pebbles at the source and adjacent endpoints;
+    raises PebblingError otherwise, or when ``c`` is not a configuration
+    of ``g``.  The rule is checked by :func:`replay_moves`.
     """
-    src, dst = move
-    check_sized(g, c)
-    if not (0 <= src < g.n and 0 <= dst < g.n):
-        raise PebblingError(f"move {src}->{dst}: vertex out of range")
-    if not g.is_edge(src, dst):
-        raise PebblingError(f"move {src}->{dst}: endpoints not adjacent")
-    if c[src] < 2:
-        raise PebblingError(
-            f"move {src}->{dst}: needs 2 pebbles at source, found {c[src]}")
-    out = list(c)
-    out[src] -= 2
-    out[dst] += 1
-    return tuple(out)
+    return Certificate(c, (move,)).replay(g)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +190,15 @@ class Certificate:
         object.__setattr__(self, "moves", moves)
 
     def replay(self, g: Graph) -> Configuration:
-        """Final configuration after all moves; raises PebblingError on an
-        illegal step."""
-        c = self.initial
-        for mv in self.moves:
-            c = apply_move(g, c, mv)
-        return c
+        """Final configuration after all moves; raises PebblingError on a
+        size mismatch or on the first illegal move (see
+        :func:`replay_moves`)."""
+        check_sized(g, self.initial)
+        counts = list(self.initial)
+        illegal = replay_moves(g, counts, self.moves)
+        if illegal is not None:
+            raise PebblingError(illegal[1])
+        return tuple(counts)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -218,3 +212,26 @@ class Certificate:
             return cls(data["initial"], data["moves"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PebblingError(f"bad certificate JSON: {exc}") from exc
+
+
+def replay_moves(g: Graph, counts: list[int],
+                 moves: Iterable[PebblingMove]) -> tuple[int, str] | None:
+    """Apply ``moves`` to ``counts`` in place: the move rule of every checker.
+
+    A move needs both endpoints in range, adjacent, and two pebbles at the
+    source.  Returns ``None`` when all are legal (``counts`` is then the
+    final configuration), else the index and reason of the first illegal
+    move (``counts`` as it stood before it).  The solvers move pebbles with
+    code of their own, so a checker never shares the rule it checks.
+    """
+    for i, (src, dst) in enumerate(moves):
+        if not (0 <= src < g.n and 0 <= dst < g.n):
+            return i, f"move {src}->{dst}: vertex out of range"
+        if not g.is_edge(src, dst):
+            return i, f"move {src}->{dst}: endpoints not adjacent"
+        if counts[src] < 2:
+            return i, (f"move {src}->{dst}: needs 2 pebbles at source, "
+                       f"found {counts[src]}")
+        counts[src] -= 2
+        counts[dst] += 1
+    return None

@@ -218,9 +218,9 @@ def test_state_checker_flags_corruption():
         g, SolverState(counts, cov, heavy, pending, none, 0),
         counts, (), 4)
 
-    def failing(state, initial=counts, moves=(), pending0=4):
+    def failing(state, initial=counts, moves=(), pending0=4, graph=g):
         with pytest.raises(InvariantViolation) as err:
-            check_solver_state(g, state, initial, moves, pending0)
+            check_solver_state(graph, state, initial, moves, pending0)
         return str(err.value)
 
     msg = failing(SolverState(counts, frozenset({0, 1}), heavy,
@@ -249,6 +249,18 @@ def test_state_checker_flags_corruption():
     msg = failing(SolverState(counts, cov, heavy, pending, none, 0),
                   initial=(9, 0, 0, 0, 0))
     assert "8 (" in msg  # move log does not replay to counts
+
+    # One step into a run on P4 (clump size 2): the log (3, 2) replays, but
+    # vertex -1 must not wrap around to vertex 3, nor vertex 4 overrun, nor
+    # a three-entry initial configuration overrun.
+    start = (0, 0, 0, 5)
+    state = SolverState((0, 0, 1, 3), frozenset({2, 3}), frozenset({3}),
+                        frozenset({0, 1}), none, 1)
+    check_solver_state(P4, state, start, ((3, 2),), 3)
+    for initial, log in ((start, ((-1, 2),)), (start, ((4, 2),)),
+                         (start[:3], ((3, 2),))):
+        msg = failing(state, initial, log, 3, P4)
+        assert "8 (" in msg, (initial, log)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,7 @@ def test_cli_parse_errors(capsys, tmp_path, monkeypatch):
                  ["compute", "psi", "--cap", "-1"],
                  ["sweep", "--omega", "a"],
                  ["compute", "psi", "--budget", "-5"],
+                 ["sweep", "--jobs", "-3"],
                  ["sweep", "--out", str(tmp_path / "missing" / "x.csv")]):
         code, out, err = run_cli(capsys, argv + ["--graph", str(good)])
         assert code == 64, argv
@@ -302,7 +303,8 @@ def test_cli_family_and_formats(capsys):
                  ["family", "random", "--order", "0"],
                  ["family", "random", "--order", "5", "--diameter", "x"],
                  ["family", "random", "--order", "3", "--diameter", "5"],
-                 ["family", "random", "--order", "3", "--diameter", "2:1"]):
+                 ["family", "random", "--order", "3", "--diameter", "2:1"],
+                 ["family", "random", "--order", "4", "--count", "-2"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 64 and "error:" in err, argv
 

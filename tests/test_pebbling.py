@@ -20,6 +20,10 @@ from dcpebble import (
     partition_covered,
     path,
     satisfies,
+    solve_diameter2,
+    solve_diameter_d,
+    solve_subversion_diameter2,
+    spread_diameter2,
     star,
     subversion,
     support,
@@ -179,6 +183,15 @@ def test_certificate_rejects_non_integers():
                  (star(4), (5, -3, 0, 0))):
         with pytest.raises(PebblingError):
             is_solvable(g, c, DOMINATION)
+    # and so does each constructive solver, before any precondition,
+    # instead of certifying a truncated copy
+    for solve, g in ((solve_diameter2, STAR5),
+                     (spread_diameter2, complete(5)),
+                     (solve_diameter_d, P4),
+                     (lambda g, c: solve_subversion_diameter2(g, c, 1), STAR5)):
+        for bad in (5.7, True, -1):
+            with pytest.raises(PebblingError):
+                solve(g, (bad, 6) + (0,) * (g.n - 2))
 
 
 def test_certificate_bad_json():
