@@ -11,7 +11,7 @@ checks every proven bound and probes the open conjectures on small graphs.
 from .graphs import (
     DisconnectedGraphError, Graph, Graph6FormatError, GraphError,
     build_graph, dominated_vertices, emit_edge_list, emit_graph6,
-    induced_subgraph, parse_edge_list, parse_graph6, undominated_components,
+    parse_edge_list, parse_graph6, undominated_components,
 )
 from .pebbling import (
     DOMINATION, FULL_COVER, Certificate, Configuration, Goal,
@@ -49,8 +49,7 @@ __all__ = [
     # graphs
     "DisconnectedGraphError", "Graph", "Graph6FormatError", "GraphError",
     "build_graph", "dominated_vertices", "emit_edge_list", "emit_graph6",
-    "induced_subgraph", "parse_edge_list", "parse_graph6",
-    "undominated_components",
+    "parse_edge_list", "parse_graph6", "undominated_components",
     # pebbling
     "DOMINATION", "FULL_COVER", "Certificate", "Configuration", "Goal",
     "PebblingError", "PebblingMove", "apply_move", "clumping_number",

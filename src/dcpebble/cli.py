@@ -268,10 +268,9 @@ def _cmd_family(args) -> int:
             rng = random.Random(args.seed)
             dia = None
             if args.diameter:
-                parts = args.diameter.split(":")
-                lo = int(parts[0])
-                hi = int(parts[1]) if len(parts) > 1 else lo
-                dia = (lo, hi)
+                # "2:3:9" leaves "3:9" for HI, which int() refuses.
+                lo, sep, hi = args.diameter.partition(":")
+                dia = (int(lo), int(hi if sep else lo))
             graphs = [random_connected_graph(args.order, rng,
                                              diameter_range=dia)
                       for _ in range(args.count)]

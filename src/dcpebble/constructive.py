@@ -5,9 +5,12 @@ bounds as an executable algorithm: it takes a configuration at or above the
 relevant size threshold and emits an explicit move sequence whose terminal
 support meets the goal.  Every "choose some vertex" step is resolved with
 lowest-index tie-breaking so certificates are reproducible.  Before any
-precondition, each solver checks its configuration as ``is_solvable`` does:
-a wrong length, or a count that is not an int or is negative, raises
-PebblingError.
+precondition, each solver passes its configuration through the gate that
+``is_solvable`` uses, :func:`~dcpebble.pebbling.check_configuration`: a
+wrong length, or a count that is not an int or is negative, raises
+PebblingError.  One diameter-2 engine serves both domination and
+subversion: the subversion solver runs it on the whole graph with a few
+remote vertices set aside.
 
 The diameter-d solver carries its full bookkeeping state and can assert the
 eight running invariants that make its accounting sound; a violation is an
@@ -19,22 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import (
-    DisconnectedGraphError,
-    Graph,
-    dominated_mask,
-    induced_subgraph,
-    support_mask,
-)
+from .graphs import Graph, dominated_mask, support_mask
 from .pebbling import (
     Certificate,
     Configuration,
     Goal,
     PebblingMove,
-    check_sized,
+    check_configuration,
     clumping_number,
     replay_moves,
-    satisfies,
     satisfies_mask,
 )
 
@@ -66,15 +62,16 @@ class CoverPartition:
 
 
 def partition_covered(g: Graph, c: Sequence[int]) -> CoverPartition:
-    check_sized(g, c)
-    cov = support_mask(c)
+    cov = support_mask(check_configuration(g, c))
     dom = dominated_mask(g, cov)
+    return CoverPartition(frozenset(_members(g, cov)),
+                          frozenset(_members(g, dom & ~cov)),
+                          frozenset(_members(g, g.full_mask & ~dom)))
 
-    def members(mask: int) -> frozenset[int]:
-        return frozenset(v for v in range(g.n) if mask >> v & 1)
 
-    return CoverPartition(members(cov), members(dom & ~cov),
-                          members(g.full_mask & ~dom))
+def _members(g: Graph, mask: int) -> list[int]:
+    """The vertices of ``mask``, ascending."""
+    return [v for v in range(g.n) if mask >> v & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +98,12 @@ def verify_certificate(g: Graph, cert: Certificate,
     certificate of the right size: an illegal move yields a failed result
     carrying the offending step index.
     """
-    check_sized(g, cert.initial)
-    counts = list(cert.initial)
+    counts = list(check_configuration(g, cert.initial))
     illegal = replay_moves(g, counts, cert.moves)
     if illegal is not None:
         return VerificationResult(False, illegal[0], "illegal-move")
     final = tuple(counts)
-    if not satisfies(g, final, goal):
+    if not satisfies_mask(g, support_mask(final), goal):
         return VerificationResult(False, None, "goal-not-met", final)
     return VerificationResult(True, None, "ok", final)
 
@@ -115,6 +111,12 @@ def verify_certificate(g: Graph, cert: Certificate,
 # ---------------------------------------------------------------------------
 # diameter <= 2: direct domination
 # ---------------------------------------------------------------------------
+
+def _require_diameter2(g: Graph) -> None:
+    if g.diameter > 2:
+        raise PreconditionError(
+            f"graph has diameter {g.diameter}, needs at most 2")
+
 
 def _require_pebbles(c: Configuration, need: int, formula: str) -> None:
     size = sum(c)
@@ -137,12 +139,12 @@ def _move(g: Graph, counts: list[int], moves: list[PebblingMove],
 
 
 def _dominate_from_pair(g: Graph, counts: list[int], moves: list[PebblingMove],
-                        z: int, sources: frozenset[int]) -> None:
-    """Spend one pair from the nearest eligible source so that z becomes
-    dominated: onto z itself at distance 1, onto a shared neighbor at
-    distance 2."""
+                        z: int, sources: list[int]) -> None:
+    """Spend one pair from the nearest eligible source (``sources`` is
+    ascending) so that z becomes dominated: onto z itself at distance 1,
+    onto a shared neighbor at distance 2."""
     best = None
-    for w in sorted(sources):
+    for w in sources:
         if counts[w] >= 2:
             d = g.dist[z][w]
             if best is None or d < best[0]:
@@ -163,44 +165,49 @@ def _dominate_from_pair(g: Graph, counts: list[int], moves: list[PebblingMove],
     _move(g, counts, moves, w, mids[0])
 
 
-def _dominate_core(g: Graph, counts: list[int]) -> list[PebblingMove]:
+def _dominate_core(g: Graph, counts: list[int],
+                   ignored: int = 0) -> list[PebblingMove]:
     """Shared engine of the diameter-2 bound: drive ``counts`` to a
-    configuration whose support dominates ``g``.
+    configuration whose support dominates every vertex of ``g`` outside
+    the bitmask ``ignored``.
 
-    Only ever measures distances from originally covered vertices, which
-    is what lets the subversion solver reuse it on an induced subgraph
-    whose overall diameter may exceed 2.
+    ``ignored`` may hold only undominated (remote) vertices.  Such a
+    vertex is adjacent to no covered vertex, so it is never a source, a
+    target or a middle vertex, and no distance the engine measures (from
+    an originally covered vertex, at most 2) runs through it.
     """
-    part = partition_covered(g, counts)
+    cov = support_mask(counts)
+    dom = dominated_mask(g, cov)
     moves: list[PebblingMove] = []
-    if not part.remote:
+    remote = _members(g, g.full_mask & ~dom & ~ignored)
+    if not remote:
         return moves
-    covered = part.covered
-    a, b = len(part.fringe), len(part.remote)
+    covered = _members(g, cov)
+    fringe = _members(g, dom & ~cov)
 
-    if a <= b:
+    if len(fringe) <= len(remote):
         # Cover fringe vertices one pair each from adjacent sources while
         # pairs are within reach.
-        for v in sorted(part.fringe):
+        for v in fringe:
             if counts[v] > 0:
                 continue
-            srcs = [w for w in g.adj[v] if w in covered and counts[w] >= 2]
+            srcs = [w for w in g.adj[v] if cov >> w & 1 and counts[w] >= 2]
             if srcs:
                 _move(g, counts, moves, min(srcs), v)
     else:
         # Dominate each remote vertex by covering a vertex between it and
         # a source, spending pairs from 3-or-more stacks first so sources
         # stay covered as long as possible.
-        for v in sorted(part.remote):
+        for v in remote:
             if _is_dominated(g, counts, v):
                 continue
             src = None
-            for w in sorted(covered):
+            for w in covered:
                 if counts[w] >= 3:
                     src = w
                     break
             if src is None:
-                for w in sorted(covered):
+                for w in covered:
                     if counts[w] >= 2:
                         src = w
                         break
@@ -214,11 +221,11 @@ def _dominate_core(g: Graph, counts: list[int]) -> list[PebblingMove]:
             _move(g, counts, moves, src, mids[0])
     # Leftover fringe vertices, and any whose source went dark, sit at
     # distance 2 from every remaining pair; one pair each dominates them.
-    for z in sorted(part.fringe):
+    for z in fringe:
         if counts[z] == 0 and not _is_dominated(g, counts, z):
             _dominate_from_pair(g, counts, moves, z, covered)
 
-    if not satisfies_mask(g, support_mask(counts), Goal("domination")):
+    if dominated_mask(g, support_mask(counts)) | ignored != g.full_mask:
         raise InvariantViolation("terminal support fails to dominate")
     return moves
 
@@ -231,13 +238,10 @@ def solve_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     the guaranteed spare pairs accordingly; empty certificate when the
     input already dominates.
     """
-    check_sized(g, c)
-    initial = Certificate(c).initial
+    initial = check_configuration(g, c)
     if g.n < 2:
         raise PreconditionError("needs at least 2 vertices")
-    if g.diameter > 2:
-        raise PreconditionError(
-            f"graph has diameter {g.diameter}, needs at most 2")
+    _require_diameter2(g)
     _require_pebbles(initial, g.n - 1, "n-1")
     moves = _dominate_core(g, list(initial))
     return Certificate(initial, tuple(moves))
@@ -251,11 +255,8 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     target).  With minimum degree above ceil((n-1)/2) and at least
     floor((4n-2m-3)/3) pebbles the terminal support dominates.
     """
-    check_sized(g, c)
-    initial = Certificate(c).initial
-    if g.diameter > 2:
-        raise PreconditionError(
-            f"graph has diameter {g.diameter}, needs at most 2")
+    initial = check_configuration(g, c)
+    _require_diameter2(g)
     n = g.n
     m = g.min_degree()
     if not m > -(-(n - 1) // 2):
@@ -277,7 +278,7 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
         if step is None:
             break
         _move(g, counts, moves, *step)
-    if not satisfies_mask(g, support_mask(counts), Goal("domination")):
+    if dominated_mask(g, support_mask(counts)) != g.full_mask:
         raise InvariantViolation("spread terminated without dominating")
     return Certificate(initial, tuple(moves))
 
@@ -403,8 +404,7 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
     dominated and retired.  With ``check_invariants`` the eight conditions
     of :func:`check_solver_state` are asserted after every iteration.
     """
-    check_sized(g, c)
-    initial = Certificate(c).initial
+    initial = check_configuration(g, c)
     d = g.diameter
     if d < 3:
         raise PreconditionError(f"graph has diameter {d}, needs at least 3")
@@ -488,7 +488,7 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
         if check_invariants:
             check_solver_state(g, snapshot(), initial, moves, initial_pending)
 
-    if not satisfies_mask(g, support_mask(counts), Goal("domination")):
+    if dominated_mask(g, support_mask(counts)) != g.full_mask:
         raise InvariantViolation("terminal support fails to dominate")
     return Certificate(initial, tuple(moves))
 
@@ -505,16 +505,12 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
 
     If at most omega vertices are undominated already, no moves are
     needed.  Otherwise omega of the undominated (remote) vertices (the
-    lowest-indexed ones) are set aside, and the diameter-2 domination
-    engine runs on the remaining induced subgraph, where it has the n'-1
-    pebbles it needs; its moves replayed on the full graph leave only the
-    set-aside vertices possibly undominated.
+    lowest-indexed ones) are set aside and the diameter-2 domination
+    engine dominates every other vertex of ``g``: the n-1-omega pebbles
+    are the n'-1 it needs on the n' = n-omega vertices that remain.
     """
-    check_sized(g, c)
-    initial = Certificate(c).initial
-    if g.diameter > 2:
-        raise PreconditionError(
-            f"graph has diameter {g.diameter}, needs at most 2")
+    initial = check_configuration(g, c)
+    _require_diameter2(g)
     if omega < 1:
         raise PreconditionError("omega must be at least 1")
     if omega > g.n - 2:
@@ -523,25 +519,18 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
             "the bound n-1-omega is only meaningful for omega <= n-2")
     _require_pebbles(initial, g.n - 1 - omega, "n-1-omega")
 
-    part = partition_covered(g, initial)
-    if len(part.remote) <= omega:
+    dom = dominated_mask(g, support_mask(initial))
+    remote = _members(g, g.full_mask & ~dom)
+    if len(remote) <= omega:
         return Certificate(initial, ())
 
-    dropped = sorted(part.remote)[:omega]
-    keep = sorted(set(range(g.n)) - set(dropped))
-    try:
-        sub, old_label = induced_subgraph(g, keep)
-    except DisconnectedGraphError as exc:
-        raise InvariantViolation(
-            "removing remote vertices disconnected the graph") from exc
-    sub_counts = [initial[v] for v in old_label]
-    sub_moves = _dominate_core(sub, sub_counts)
-    moves = tuple((old_label[u], old_label[v]) for u, v in sub_moves)
-
-    cert = Certificate(initial, moves)
-    undominated = g.n - dominated_mask(
-        g, support_mask(cert.replay(g))).bit_count()
+    ignored = 0
+    for v in remote[:omega]:
+        ignored |= 1 << v
+    counts = list(initial)
+    moves = _dominate_core(g, counts, ignored)
+    undominated = g.n - dominated_mask(g, support_mask(counts)).bit_count()
     if undominated > omega:
         raise InvariantViolation(
             f"{undominated} vertices left undominated, allowed {omega}")
-    return cert
+    return Certificate(initial, tuple(moves))

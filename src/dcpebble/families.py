@@ -191,8 +191,9 @@ def star_with_leaf_path(n: int, omega: int) -> Graph:
 def star_with_leaf_path_witness(n: int, omega: int) -> Configuration:
     """One pebble on each plain leaf: n-2-omega pebbles that cannot break
     the linked cluster."""
-    g_order = n
-    return tuple(1 if v >= omega + 2 else 0 for v in range(g_order))
+    if omega < 1 or n < omega + 3:
+        raise ValueError("need omega >= 1 and n >= omega + 3")
+    return tuple(1 if v >= omega + 2 else 0 for v in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -284,21 +284,3 @@ def emit_edge_list(g: Graph) -> str:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# induced subgraphs (used by the subversion solver)
-# ---------------------------------------------------------------------------
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph induced by ``keep``.
-
-    Returns the subgraph (with compacted labels) and the list mapping new
-    indices back to old ones.  Raises DisconnectedGraphError if the induced
-    subgraph is not connected.
-    """
-    old = sorted(set(keep))
-    if not old:
-        raise GraphError("cannot induce an empty subgraph")
-    pos = {v: i for i, v in enumerate(old)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph(len(old), edges), old

@@ -1,6 +1,7 @@
 """Pebble configurations, moves, goal predicates and potential functions.
 
-A configuration is a plain tuple of non-negative per-vertex pebble counts.
+A configuration is a plain tuple of non-negative per-vertex pebble counts;
+:func:`check_configuration` is the one gate that decides it.
 A pebbling move removes two pebbles from a vertex and places one on an
 adjacent vertex.  Operations are pure, except that :func:`replay_moves`
 updates the count list it is given.
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -56,10 +56,28 @@ def format_configuration(c: Sequence[int]) -> str:
     return ",".join(str(k) for k in c)
 
 
-def check_sized(g: Graph, c: Sequence[int]) -> None:
+def check_configuration(g: Graph, c: Sequence[int]) -> Configuration:
+    """The configuration gate: ``c`` as a tuple, or PebblingError unless it
+    has one count per vertex of ``g`` and each is a non-negative int."""
     if len(c) != g.n:
         raise PebblingError(
             f"configuration has {len(c)} entries, graph has {g.n} vertices")
+    return _check_counts(c)
+
+
+def _check_counts(c: Sequence[int]) -> Configuration:
+    # Exactly int: a bool or a float would pass an int() coercion.
+    counts = tuple(c)
+    negative = False
+    for k in counts:
+        if type(k) is not int:
+            raise PebblingError(
+                "certificate counts and vertices must be integers")
+        if k < 0:
+            negative = True
+    if negative:
+        raise PebblingError(f"negative pebble count in {counts}")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +135,7 @@ def subversion(omega: int) -> Goal:
 
 def satisfies(g: Graph, c: Sequence[int], goal: Goal) -> bool:
     """Does ``c`` already satisfy ``goal`` on ``g`` (no moves made)?"""
-    check_sized(g, c)
-    return satisfies_mask(g, support_mask(c), goal)
+    return satisfies_mask(g, support_mask(check_configuration(g, c)), goal)
 
 
 def satisfies_mask(g: Graph, covered_mask: int, goal: Goal) -> bool:
@@ -179,22 +196,23 @@ class Certificate:
 
     def __post_init__(self) -> None:
         initial = tuple(self.initial)
-        moves = tuple((a, b) for a, b in self.moves)
-        # Exactly int: a bool or a float would pass an int() coercion.
-        if not set(map(type, chain(initial, *moves))) <= {int}:
+        moves = []
+        integral = True
+        for a, b in self.moves:
+            moves.append((a, b))
+            if type(a) is not int or type(b) is not int:
+                integral = False
+        if not integral:
             raise PebblingError(
                 "certificate counts and vertices must be integers")
-        if initial and min(initial) < 0:
-            raise PebblingError(f"negative pebble count in {initial}")
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "initial", _check_counts(initial))
+        object.__setattr__(self, "moves", tuple(moves))
 
     def replay(self, g: Graph) -> Configuration:
         """Final configuration after all moves; raises PebblingError on a
         size mismatch or on the first illegal move (see
         :func:`replay_moves`)."""
-        check_sized(g, self.initial)
-        counts = list(self.initial)
+        counts = list(check_configuration(g, self.initial))
         illegal = replay_moves(g, counts, self.moves)
         if illegal is not None:
             raise PebblingError(illegal[1])

@@ -17,7 +17,7 @@ from .pebbling import (
     Certificate,
     Configuration,
     Goal,
-    check_sized,
+    check_configuration,
     satisfies_mask,
 )
 
@@ -109,8 +109,7 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     stored configurations, pruned ones included, and the budget caps it.
     A count that is not a non-negative int raises :class:`PebblingError`.
     """
-    check_sized(g, c)
-    initial = Certificate(c).initial
+    initial = check_configuration(g, c)
     p = _packing(g, goal, sum(initial).bit_length())
     guard, low, high = p.guard, p.low, p.high
     met: dict[int, bool] = {}  # goal verdict by occupied count fields

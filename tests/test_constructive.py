@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,10 +7,13 @@ from dcpebble import (
     DOMINATION,
     Certificate,
     InvariantViolation,
+    PebblingError,
     PreconditionError,
     SolverState,
     check_solver_state,
     complete,
+    connected_graph6_lines,
+    connected_graphs,
     cycle,
     dominated_vertices,
     partition_covered,
@@ -307,3 +311,51 @@ def test_subversion_linked_star_tight():
         cert = solve_subversion_diameter2(h, c, 1)
         final = cert.replay(h)
         assert h.n - len(dominated_vertices(h, support(final))) <= 1
+
+
+# ---------------------------------------------------------------------------
+# certificates pinned across refactors
+# ---------------------------------------------------------------------------
+
+PINNED_OUTCOMES = (
+    58284, "2197b31de999ac5e080dd5b2530980c363f7832adf6738b92cba33130d3f5cf5")
+
+
+def solver_outcomes(max_order):
+    """Every outcome of the four solvers on the corpus up to ``max_order``:
+    the certificate's ``(initial, moves)``, or the exception's type and
+    message.  Each solver runs at every size in n-1, n, n-1-omega
+    (omega = 1, 2) and 2^(d-2)(n-2)+1, so precondition failures are pinned
+    too."""
+    solvers = (
+        ("diam2", solve_diameter2),
+        ("spread", spread_diameter2),
+        ("diamd", solve_diameter_d),
+        ("diamd_noinv", lambda g, c: solve_diameter_d(g, c, False)),
+        ("subv1", lambda g, c: solve_subversion_diameter2(g, c, 1)),
+        ("subv2", lambda g, c: solve_subversion_diameter2(g, c, 2)),
+    )
+    for n in range(1, max_order + 1):
+        for line, g in zip(connected_graph6_lines(n), connected_graphs(n)):
+            sizes = {n - 1, n, n - 2, n - 3}
+            if g.diameter >= 2:
+                sizes.add((1 << (g.diameter - 2)) * (n - 2) + 1)
+            for size in sorted(s for s in sizes if s >= 0):
+                for c in configurations(n, size):
+                    for name, solve in solvers:
+                        try:
+                            cert = solve(g, c)
+                            out = (cert.initial, cert.moves)
+                        except (PebblingError, PreconditionError,
+                                InvariantViolation) as exc:
+                            out = (type(exc).__name__, str(exc))
+                        yield f"{name} {line} {c} {out}\n"
+
+
+def test_solver_outcomes_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for row in solver_outcomes(5):
+        digest.update(row.encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == PINNED_OUTCOMES

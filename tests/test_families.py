@@ -120,6 +120,10 @@ def test_star_with_leaf_path_bounds():
         star_with_leaf_path(4, 2)  # needs n >= omega + 3
     with pytest.raises(ValueError):
         star_with_leaf_path(6, 0)
+    # the witness refuses the same parameters as its graph
+    for n, omega in ((3, 5), (4, 2), (6, 0)):
+        with pytest.raises(ValueError):
+            star_with_leaf_path_witness(n, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from dcpebble import (
     dominated_vertices,
     emit_edge_list,
     emit_graph6,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     path,
@@ -162,12 +161,3 @@ def test_edge_list_errors():
         parse_edge_list("3\n0 1\n1 2\n")
     with pytest.raises(GraphError):
         parse_edge_list("3 2\n0 1\n")  # declared 2 edges, got 1
-
-
-def test_induced_subgraph():
-    g = star(5)
-    sub, labels = induced_subgraph(g, [0, 2, 4])
-    assert sub.n == 3 and labels == [0, 2, 4]
-    assert sub.edges == frozenset({(0, 1), (0, 2)})
-    with pytest.raises(DisconnectedGraphError):
-        induced_subgraph(g, [1, 2])

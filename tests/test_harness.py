@@ -304,6 +304,8 @@ def test_cli_family_and_formats(capsys):
                  ["family", "random", "--order", "5", "--diameter", "x"],
                  ["family", "random", "--order", "3", "--diameter", "5"],
                  ["family", "random", "--order", "3", "--diameter", "2:1"],
+                 ["family", "random", "--order", "4", "--diameter", "2:3:9"],
+                 ["family", "random", "--order", "4", "--diameter", "2:"],
                  ["family", "random", "--order", "4", "--count", "-2"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 64 and "error:" in err, argv

@@ -178,6 +178,13 @@ def test_certificate_rejects_non_integers():
                            ((-1, 0), ())):
         with pytest.raises(PebblingError):
             Certificate(initial, moves)
+    # satisfies and partition_covered pass through the same gate
+    for bad in ((-1, 1, 0, 1), (0.5, 1, 0, 1), (True, 1, 0, 1)):
+        with pytest.raises(PebblingError):
+            satisfies(P4, bad, DOMINATION)
+    for bad in ((-3, 0, 0, 1), (1.0, 0, 0, 1), (0, False, 0, 1)):
+        with pytest.raises(PebblingError):
+            partition_covered(P4, bad)
     # is_solvable checks its configuration with the same rule
     for g, c in ((path(3), (-1, 0, 0)), (path(3), (2.7, 0, 0)),
                  (star(4), (5, -3, 0, 0))):
