@@ -56,23 +56,22 @@ def format_configuration(c: Sequence[int]) -> str:
     return ",".join(str(k) for k in c)
 
 
-def check_configuration(g: Graph, c: Sequence[int]) -> Configuration:
+def check_configuration(g: Graph, c: Iterable[int]) -> Configuration:
     """The configuration gate: ``c`` as a tuple, or PebblingError unless it
     has one count per vertex of ``g`` and each is a non-negative int."""
-    if len(c) != g.n:
-        raise PebblingError(
-            f"configuration has {len(c)} entries, graph has {g.n} vertices")
-    return _check_counts(c)
-
-
-def _check_counts(c: Sequence[int]) -> Configuration:
-    # Exactly int: a bool or a float would pass an int() coercion.
     counts = tuple(c)
+    if len(counts) != g.n:
+        raise PebblingError(f"configuration has {len(counts)} entries, "
+                            f"graph has {g.n} vertices")
+    return _check_counts(counts, "configuration counts must be integers")
+
+
+def _check_counts(counts: Configuration, not_int: str) -> Configuration:
+    # Exactly int: a bool or a float would pass an int() coercion.
     negative = False
     for k in counts:
         if type(k) is not int:
-            raise PebblingError(
-                "certificate counts and vertices must be integers")
+            raise PebblingError(not_int)
         if k < 0:
             negative = True
     if negative:
@@ -202,10 +201,10 @@ class Certificate:
             moves.append((a, b))
             if type(a) is not int or type(b) is not int:
                 integral = False
+        not_int = "certificate counts and vertices must be integers"
         if not integral:
-            raise PebblingError(
-                "certificate counts and vertices must be integers")
-        object.__setattr__(self, "initial", _check_counts(initial))
+            raise PebblingError(not_int)
+        object.__setattr__(self, "initial", _check_counts(initial, not_int))
         object.__setattr__(self, "moves", tuple(moves))
 
     def replay(self, g: Graph) -> Configuration:

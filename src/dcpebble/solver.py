@@ -97,28 +97,35 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     ``c`` itself) satisfies ``goal``.
 
     Depth-first search over the reachability DAG with an explicit stack
-    and a set of visited configurations.  Each configuration is one int
-    that also carries the slack of every weight bound (see
-    :class:`_Packing`), so a move is one addition.  Moves are tried by
-    lowest source, then adjacency order, and the search descends into the
-    first unvisited child, so the certificate is deterministic.  A child
-    whose weight bound proves it unsolvable is stored as visited but not
-    expanded: every configuration reachable from it fails the bound too,
-    and every goal configuration meets it, so pruning changes neither the
-    verdict nor the first solution found.  ``states_explored`` counts the
-    stored configurations, pruned ones included, and the budget caps it.
-    A count that is not a non-negative int raises :class:`PebblingError`.
+    of (configuration, iterator over its legal steps) and a set of visited
+    configurations.  Each configuration is one int that also carries the
+    slack of every weight bound (see :class:`_Packing`), so a move is one
+    addition.  A configuration's legal steps come from the packing's move
+    table, keyed by which sources hold two pebbles: one dict lookup per
+    expanded configuration once its pattern has been seen.  Moves are
+    tried by lowest source, then adjacency order, and the search descends
+    into the first unvisited child, so the certificate is deterministic.
+    A child whose weight bound proves it unsolvable is stored as visited
+    but not expanded: every configuration reachable from it fails the
+    bound too, and every goal configuration meets it, so pruning changes
+    neither the verdict nor the first solution found.  ``states_explored``
+    counts the stored configurations, pruned ones included, and the
+    budget caps it.  ``c`` may be any iterable of counts; one that is not
+    a non-negative int raises :class:`PebblingError`.
     """
     initial = check_configuration(g, c)
     p = _packing(g, goal, sum(initial).bit_length())
-    guard, low, high = p.guard, p.low, p.high
+    guard, low, high, two = p.guard, p.low, p.high, p.two
     met: dict[int, bool] = {}  # goal verdict by occupied count fields
+    legal: dict[int, tuple] = {}  # legal steps by sources holding two
     visited: set[int] = set()
     moves: list[tuple[int, int]] = []  # the path's moves, dummy first
-    # The root enters by a dummy move and is handled like any child.
-    stack = [iter([(p.pack(initial), -1, -1)])]
+    # The root enters from 0 by a dummy step and is handled like any child.
+    stack = [(0, iter(((p.pack(initial), -1, -1),)))]
     while stack:
-        for x, u, v in stack[-1]:
+        parent, steps = stack[-1]
+        for delta, u, v in steps:
+            x = parent + delta
             if x in visited:
                 continue
             live = x & guard == guard
@@ -134,7 +141,12 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
             visited.add(x)
             if live:
                 moves.append((u, v))
-                stack.append(p.children(x))
+                t = x & two
+                sources = ((t & low) + low | t) & high
+                row = legal.get(sources)
+                if row is None:
+                    row = legal[sources] = p.legal(sources)
+                stack.append((x, iter(row)))
                 break
         else:
             stack.pop()
@@ -194,9 +206,18 @@ class _Packing:
     2^(s-1).  Slacks lie above -n*2^diam and below 2^bits*2^diam, so no
     field over- or underflows, and the bounds prove ``x`` unsolvable iff
     ``x & guard != guard``.  A pebble on v adds ``weights[v]``.
-    ``moves[u]`` is the mask of u's count bits worth 2 or more, ``g.adj[u]``
-    and what a move to each of those vertices adds.  The top bit of every
-    non-zero count field is set in ``((x & low) + low | x) & high``.
+
+    The top bit of every non-zero count field is set in ``occupied =
+    ((x & low) + low | x) & high``.  The same carry on ``t = x & two``,
+    the count bits worth 2 or more, gives ``sources = ((t & low) + low |
+    t) & high``: the top bit of every field holding two pebbles or more,
+    so of every vertex that can fire (none when fields are 1 bit wide, as
+    ``two`` is then 0).  The move table ``steps`` holds, for each vertex
+    u, the top bit of u's field and a step ``(delta, u, v)`` for each v in
+    ``g.adj[u]``, where ``delta`` is what the move u -> v adds to ``x``.
+    :meth:`legal` lists the steps of one ``sources`` pattern; callers
+    keep the tuples it builds in a dict by pattern, so a configuration
+    finds its legal moves with one lookup.
     """
 
     def __init__(self, g: Graph, goal: Goal | None, bits: int):
@@ -214,20 +235,23 @@ class _Packing:
             for v, x in enumerate(row):
                 weights[v] += x << shift
         self.weights, self.base, self.guard = tuple(weights), base, guard
-        self.moves = tuple(
-            (((1 << w) - 2) << w * u, targets,
-             tuple(weights[v] - 2 * weights[u] for v in targets))
-            for u, targets in enumerate(g.adj))
         ones = sum(unit for unit, _, _ in self.fields)
         self.high = ones << w - 1
         self.low = self.high - ones
+        self.two = ones * ((1 << w) - 2)
+        self.steps = tuple(
+            (unit << w - 1, tuple((weights[v] - 2 * weights[u], u, v)
+                                  for v in g.adj[u]))
+            for u, (unit, _, _) in enumerate(self.fields))
 
-    def children(self, x: int) -> Iterator[tuple[int, int, int]]:
-        """Each (x after u -> v, u, v), by lowest source, then adjacency."""
-        for u, (send, targets, deltas) in enumerate(self.moves):
-            if x & send:
-                for v, delta in zip(targets, deltas):
-                    yield x + delta, u, v
+    def legal(self, sources: int) -> tuple[tuple[int, int, int], ...]:
+        """The steps of every source whose top count bit is in ``sources``,
+        by lowest source, then adjacency."""
+        legal: tuple[tuple[int, int, int], ...] = ()
+        for top, row in self.steps:
+            if sources & top:
+                legal += row
+        return legal
 
     def support(self, x: int) -> int:
         """Bitmask of the vertices that hold a pebble in ``x``."""
@@ -305,8 +329,9 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     cover = goals[0].kind == "cover"
     floor = min(goal.omega for goal in goals)
     p = _packing(g, None, cap.bit_length())
-    low, high = p.low, p.high
+    low, high, two = p.low, p.high, p.two
     support_scores: dict[int, int] = {}  # by occupied count fields
+    legal: dict[int, tuple] = {}  # legal steps by sources holding two
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
     checked = 0
@@ -333,18 +358,20 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                 score = support_scores[occupied] = (
                     int(mask != g.full_mask) if cover
                     else max_undominated_component(g, mask))
-            # Probe moves by lowest source, then adjacency order, until one
-            # leaves the kept set.
-            for send, _, deltas in p.moves:
-                if score <= floor:
-                    break
-                if x & send:
-                    for delta in deltas:
-                        child = prev.get(x + delta, floor)
-                        if child < score:
-                            score = child
-                            if score <= floor:
-                                break
+            if score > floor:
+                # Probe moves by lowest source, then adjacency order, until
+                # one leaves the kept set.
+                t = x & two
+                sources = ((t & low) + low | t) & high
+                row = legal.get(sources)
+                if row is None:
+                    row = legal[sources] = p.legal(sources)
+                for delta, _, _ in row:
+                    child = prev.get(x + delta, floor)
+                    if child < score:
+                        score = child
+                        if score <= floor:
+                            break
             if score > floor:
                 level[x] = score
         settle(k, "exact", max(level.values(), default=floor))

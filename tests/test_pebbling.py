@@ -173,22 +173,31 @@ def test_certificate_replay_illegal():
 
 
 def test_certificate_rejects_non_integers():
-    for initial, moves in (((3, 0), ((0.5, 1),)), ((2.5, 0), ((0, 1),)),
-                           ((True, 0), ()), ((2, 0), ((0, True),)),
-                           ((-1, 0), ())):
-        with pytest.raises(PebblingError):
+    cert_not_int = "^certificate counts and vertices must be integers$"
+    for initial, moves, message in (
+            ((3, 0), ((0.5, 1),), cert_not_int),
+            ((2.5, 0), ((0, 1),), cert_not_int),
+            ((True, 0), (), cert_not_int),
+            ((2, 0), ((0, True),), cert_not_int),
+            ((-1, 0), (), "negative")):
+        with pytest.raises(PebblingError, match=message):
             Certificate(initial, moves)
-    # satisfies and partition_covered pass through the same gate
-    for bad in ((-1, 1, 0, 1), (0.5, 1, 0, 1), (True, 1, 0, 1)):
-        with pytest.raises(PebblingError):
+    # satisfies and partition_covered pass through the same gate, which
+    # speaks of configurations, not certificates
+    not_int = "^configuration counts must be integers$"
+    for bad, message in (((-1, 1, 0, 1), "negative"),
+                         ((0.5, 1, 0, 1), not_int),
+                         ((True, 1, 0, 1), not_int)):
+        with pytest.raises(PebblingError, match=message):
             satisfies(P4, bad, DOMINATION)
     for bad in ((-3, 0, 0, 1), (1.0, 0, 0, 1), (0, False, 0, 1)):
         with pytest.raises(PebblingError):
             partition_covered(P4, bad)
     # is_solvable checks its configuration with the same rule
-    for g, c in ((path(3), (-1, 0, 0)), (path(3), (2.7, 0, 0)),
-                 (star(4), (5, -3, 0, 0))):
-        with pytest.raises(PebblingError):
+    for g, c, message in ((path(3), (-1, 0, 0), "negative"),
+                          (path(3), (2.7, 0, 0), not_int),
+                          (star(4), (5, -3, 0, 0), "negative")):
+        with pytest.raises(PebblingError, match=message):
             is_solvable(g, c, DOMINATION)
     # and so does each constructive solver, before any precondition,
     # instead of certifying a truncated copy
@@ -199,6 +208,19 @@ def test_certificate_rejects_non_integers():
         for bad in (5.7, True, -1):
             with pytest.raises(PebblingError):
                 solve(g, (bad, 6) + (0,) * (g.n - 2))
+
+
+def test_iterator_counts_equal_tuple():
+    # the gate takes any iterable of counts, as Certificate does
+    for c in ((1, 0, 0, 1), (1, 0, 0, 0), (5, 0, 0, 0), (0, 0, 3, 0)):
+        assert satisfies(P4, iter(c), DOMINATION) == \
+            satisfies(P4, c, DOMINATION)
+        assert is_solvable(P4, iter(c), DOMINATION) == \
+            is_solvable(P4, c, DOMINATION)
+        assert is_solvable(P4, (k for k in c), FULL_COVER) == \
+            is_solvable(P4, c, FULL_COVER)
+    with pytest.raises(PebblingError, match="has 3 entries"):
+        satisfies(P4, iter((1, 0, 1)), DOMINATION)
 
 
 def test_certificate_bad_json():

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from math import comb
 
@@ -10,7 +11,9 @@ from dcpebble import (
     binary_tree,
     build_graph,
     complete,
+    connected_graph6_lines,
     connected_graphs,
+    cycle,
     emit_graph6,
     is_solvable,
     lambda_stacking,
@@ -21,6 +24,7 @@ from dcpebble import (
     star,
     stacking_value,
     subversion,
+    tail_clique,
     verify_certificate,
     wheel,
 )
@@ -197,6 +201,56 @@ def test_search_matches_unpruned_reference(goal):
         assert res.solvable == (want is not None), (g, c)
         if want is not None:
             assert res.certificate.moves == want, (g, c)
+
+
+# ---------------------------------------------------------------------------
+# search outcomes pinned across refactors
+# ---------------------------------------------------------------------------
+
+PINNED_ORACLE = (
+    78594, "f47903bacf124ba0e2ce3e9149412db59237f744e230cede76ba51e0dd18ff47")
+
+
+def oracle_outcomes():
+    """``(solvable, certificate moves, states_explored)`` of is_solvable on
+    every configuration of at most min(cap, 6) pebbles on the corpus up to
+    order 5, at the default budget and at budgets 3 and 40; then on single
+    stacks of cap // 4, cap // 2 and cap - 1 pebbles on every vertex of
+    four named families, at budget 5,000."""
+    def outcome(res):
+        moves = None if res.certificate is None else res.certificate.moves
+        return res.solvable, moves, res.states_explored
+
+    for n in range(1, 6):
+        for line, g in zip(connected_graph6_lines(n), connected_graphs(n)):
+            for goal in ALL_GOALS:
+                for size in range(min(default_cap(g, goal), 6) + 1):
+                    for c in configurations(n, size):
+                        for budget in (None, 3, 40):
+                            res = (is_solvable(g, c, goal) if budget is None
+                                   else is_solvable(g, c, goal, budget))
+                            yield (f"{line} {goal.describe()} {budget} {c} "
+                                   f"{outcome(res)}\n")
+    named = (("path 7", path(7)), ("cycle 9", cycle(9)),
+             ("binary-tree 2", binary_tree(2)),
+             ("tail-clique 2 4", tail_clique(2, 4)))
+    for name, g in named:
+        for goal in ALL_GOALS:
+            cap = default_cap(g, goal)
+            for size in (cap // 4, cap // 2, cap - 1):
+                for v in range(g.n):
+                    c = tuple(size * (u == v) for u in range(g.n))
+                    res = is_solvable(g, c, goal, 5000)
+                    yield f"{name} {goal.describe()} {c} {outcome(res)}\n"
+
+
+def test_oracle_outcomes_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for row in oracle_outcomes():
+        digest.update(row.encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == PINNED_ORACLE
 
 
 @st.composite
