@@ -99,8 +99,10 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     Depth-first search over the reachability DAG with an explicit stack
     of (configuration, iterator over its legal steps) and a set of visited
     configurations.  Each configuration is one int that also carries the
-    slack of every weight bound (see :class:`_Packing`), so a move is one
-    addition.  A configuration's legal steps come from the packing's move
+    slack of every weight bound (see :class:`_Packing` and
+    :func:`_targets`), so a move is one addition; the visited set keeps
+    only the count fields, as the slacks follow from the counts.  A
+    configuration's legal steps come from the packing's move
     table, keyed by which sources hold two pebbles: one dict lookup per
     expanded configuration once its pattern has been seen.  Moves are
     tried by lowest source, then adjacency order, and the search descends
@@ -116,9 +118,10 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     initial = check_configuration(g, c)
     p = _packing(g, goal, sum(initial).bit_length())
     guard, low, high, two = p.guard, p.low, p.high, p.two
+    counts = high | low
     met: dict[int, bool] = {}  # goal verdict by occupied count fields
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
-    visited: set[int] = set()
+    visited: set[int] = set()  # count fields: the slacks follow from them
     moves: list[tuple[int, int]] = []  # the path's moves, dummy first
     # The root enters from 0 by a dummy step and is handled like any child.
     stack = [(0, iter(((p.pack(initial), -1, -1),)))]
@@ -126,7 +129,8 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
         parent, steps = stack[-1]
         for delta, u, v in steps:
             x = parent + delta
-            if x in visited:
+            key = x & counts
+            if key in visited:
                 continue
             live = x & guard == guard
             if live:
@@ -138,7 +142,7 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
                     return SolveResult(True, solution, len(visited))
             if len(visited) >= budget:
                 return SolveResult(None, None, len(visited))
-            visited.add(x)
+            visited.add(key)
             if live:
                 moves.append((u, v))
                 t = x & two
@@ -162,39 +166,89 @@ _MAX_TARGET_SETS = 1024
 def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
     """Vertex weights 2^(diam - dist(v, T)) and need of each target T.
 
-    Weight function lemma: a move never raises sum_v c_v 2^-dist(v, T), so
-    a configuration whose sum is below what every goal configuration has
-    is unsolvable.  Domination and subversion(omega) need a pebble on the
-    closed neighbourhood of every connected (omega + 1)-set, which would
-    otherwise be undominated (only the inclusion-minimal ones are kept);
-    cover needs a pebble on every vertex, so target {t} needs the sum over
-    all vertices.
+    Weight function lemma: w(v) <= 2 w(u) on every edge, so a move never
+    raises sum_v c_v w(v), and a configuration whose sum is below what
+    every goal configuration has is unsolvable.  A goal configuration
+    holds a pebble in every requirement set: the closed neighbourhood of
+    each connected (omega + 1)-set, which would otherwise be undominated
+    (only the inclusion-minimal ones are kept; domination has omega 0),
+    or {v} for every vertex v under cover.  Its sum is therefore at least
+    the lightest weights of any pairwise disjoint requirement sets added
+    up; the need is that sum for the sets taken greedily, heaviest first.
+    Under cover the sets are the singletons, so the need is the sum of
+    all weights.
+
+    The targets are the requirement sets; every far side {v : dist(a, v)
+    >= r} of a vertex a, for r = 1 .. diam; and the union of any two
+    requirement sets at least max(2, diam - 1) apart.
     """
-    top = g.diameter
+    n, top = g.n, g.diameter
     if goal.kind == "cover":
-        rows = [[1 << (top - d) for d in g.dist[t]] for t in range(g.n)]
-        return [(row, sum(row)) for row in rows]
-    sets = {1 << v for v in range(g.n)}
-    for _ in range(goal.omega):
-        grown = set()
-        for s in sets:
-            rim = dominated_mask(g, s) & ~s
-            while rim:
-                low = rim & -rim
-                grown.add(s | low)
-                rim ^= low
-        if len(grown) > _MAX_TARGET_SETS:
-            return []
-        sets = grown
-    minimal: list[int] = []
-    for mask in sorted({dominated_mask(g, s) for s in sets},
-                       key=lambda m: (m.bit_count(), m)):
-        if all(m & mask != m for m in minimal):
-            minimal.append(mask)
-    return [([1 << (top - min(d for t, d in enumerate(g.dist[v])
-                              if mask >> t & 1))
-              for v in range(g.n)], 1 << top)
-            for mask in minimal]
+        required = [1 << v for v in range(n)]
+    else:
+        sets = {1 << v for v in range(n)}
+        for _ in range(goal.omega):
+            grown = set()
+            for s in sets:
+                rim = dominated_mask(g, s) & ~s
+                while rim:
+                    low = rim & -rim
+                    grown.add(s | low)
+                    rim ^= low
+            if len(grown) > _MAX_TARGET_SETS:
+                return []
+            sets = grown
+        required = []
+        for mask in sorted({dominated_mask(g, s) for s in sets},
+                           key=lambda m: (m.bit_count(), m)):
+            if all(m & mask != m for m in required):
+                required.append(mask)
+    if not required:
+        return []
+
+    def balls(mask: int, radius: int) -> list[int]:
+        """The vertices within distance 0, 1, .., ``radius`` of ``mask``;
+        each ball grows by the neighbours of the previous one's rim."""
+        out, rim = [mask], mask
+        for _ in range(radius):
+            grown = out[-1] | dominated_mask(g, rim)
+            rim = grown & ~out[-1]
+            out.append(grown)
+        return out
+
+    targets = dict.fromkeys(required)
+    for a in range(n):
+        for near in balls(1 << a, top - 1):
+            far = g.full_mask & ~near
+            if far:
+                targets[far] = None
+    gap = max(2, top - 1)
+    for i, a in enumerate(required):
+        near = balls(a, gap - 1)[-1]
+        for b in required[i + 1:]:
+            if not b & near:
+                targets[a | b] = None
+    built = []
+    for mask in targets:
+        # Ball by ball from T, so the sets whose farthest vertex is
+        # nearest (the heaviest) come first, each weighing 2^(diam - d).
+        row, need, used, inner, left = [0] * n, 0, 0, 0, required
+        for d, near in enumerate(balls(mask, top)):
+            weight, ring = 1 << top - d, near & ~inner
+            while ring:
+                low = ring & -ring
+                row[low.bit_length() - 1] = weight
+                ring ^= low
+            rest = []
+            for m in left:
+                if m & near != m:
+                    rest.append(m)
+                elif not m & used:
+                    need += weight
+                    used |= m
+            inner, left = near, rest
+        built.append((row, need))
+    return built
 
 
 class _Packing:
@@ -202,9 +256,11 @@ class _Packing:
 
     ``fields[v]`` is (unit, mask, 1 << v) of vertex v's count field, which
     is ``bits`` bits wide (at least 1).  Above the counts, each target of
-    ``goal`` (none for ``None``) has an s-bit field holding its slack +
-    2^(s-1).  Slacks lie above -n*2^diam and below 2^bits*2^diam, so no
-    field over- or underflows, and the bounds prove ``x`` unsolvable iff
+    ``goal`` (see :func:`_targets`; none for ``None``) has an s-bit field
+    holding its slack + 2^(s-1), where the slack is the weight sum minus
+    the need.  A weight is at most 2^diam and a need at most n*2^diam, so
+    slacks lie at or above -n*2^diam and below 2^bits*2^diam, no field
+    over- or underflows, and the bounds prove ``x`` unsolvable iff
     ``x & guard != guard``.  A pebble on v adds ``weights[v]``.
 
     The top bit of every non-zero count field is set in ``occupied =

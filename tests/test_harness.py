@@ -208,9 +208,11 @@ def test_cli_solve_oracle_unsolvable(capsys, star5_file):
 
 
 def test_cli_solve_budget_unknown(capsys, tmp_path, star5_file):
-    f = tmp_path / "p4.el"
-    f.write_text("4 3\n0 1\n1 2\n2 3\n")
-    for graph, config, budget in ((str(f), "0,0,0,4", "2"),
+    # path 6 with 4 pebbles on one end and 1 on the other is unsolvable,
+    # but not at the root
+    f = tmp_path / "p6.el"
+    f.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+    for graph, config, budget in ((str(f), "4,0,0,0,0,1", "2"),
                                   (star5_file, "0,1,1,1,0", "0")):
         code, out, _ = run_cli(capsys, ["solve", "oracle", "--config",
                                         config, "--graph", graph,

@@ -28,7 +28,8 @@ from dcpebble import (
     verify_certificate,
     wheel,
 )
-from dcpebble.solver import _packing, configurations, default_cap
+from dcpebble.pebbling import satisfies_mask
+from dcpebble.solver import _packing, _targets, configurations, default_cap
 
 
 P4 = path(4)
@@ -96,11 +97,13 @@ def test_budget_reports_unknown_not_false():
     # unknown when the budget is too small to decide
     res = is_solvable(P4, (40, 0, 0, 0), DOMINATION, budget=2)
     assert res.unknown and res.solvable is None
-    res = is_solvable(P4, (0, 0, 0, 4), DOMINATION, budget=2)
+    res = is_solvable(path(6), (4, 0, 0, 0, 0, 1), DOMINATION)
+    assert res.solvable is False and res.states_explored > 2
+    res = is_solvable(path(6), (4, 0, 0, 0, 0, 1), DOMINATION, budget=2)
     assert res.unknown and res.solvable is None
-    # a solvable 1500-pebble stack whose search outgrows the budget is
+    # a solvable 176-pebble stack whose search outgrows the budget is
     # unknown, not a crash and not "unsolvable"
-    res = is_solvable(path(12), (1500,) + (0,) * 11, DOMINATION,
+    res = is_solvable(cycle(13), (176,) + (0,) * 12, DOMINATION,
                       budget=100_000)
     assert res.unknown and res.solvable is None
     assert res.states_explored == 100_000
@@ -108,21 +111,27 @@ def test_budget_reports_unknown_not_false():
 
 def test_search_result_independent_of_stack_depth():
     # The search keeps its own stack: the caller's depth and the
-    # interpreter's recursion limit change nothing.
-    g, c = path(12), (1500,) + (0,) * 11
-    top = is_solvable(g, c, DOMINATION, budget=5000)
-    assert top.unknown and top.states_explored == 5000
+    # interpreter's recursion limit change nothing, for a search that
+    # ends at its budget and for one whose certificate is 1,496 moves long.
+    cases = ((cycle(13), (176,) + (0,) * 12), (path(12), (1500,) + (0,) * 11))
+
+    def search():
+        return [is_solvable(g, c, DOMINATION, budget=5000) for g, c in cases]
+
+    top = search()
+    assert top[0].unknown and top[0].states_explored == 5000
+    assert top[1].solvable and len(top[1].certificate.moves) == 1496
 
     def nested(depth):
         if depth:
             return nested(depth - 1)
-        return is_solvable(g, c, DOMINATION, budget=5000)
+        return search()
 
     assert nested(200) == top
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        assert is_solvable(g, c, DOMINATION, budget=5000) == top
+        assert search() == top
     finally:
         sys.setrecursionlimit(limit)
 
@@ -134,6 +143,27 @@ def test_weight_bound_decides_at_the_root():
     # cover needs 1 + 2 + 4 = 7 on {2} of path(3), one pebble a vertex
     res = is_solvable(path(3), (6, 0, 0), FULL_COVER)
     assert res.solvable is False and res.states_explored == 1
+
+
+@pytest.mark.parametrize("n,psi", [(8, 73), (9, 146)])
+def test_weight_bound_tight_on_path_end_stacks(n, psi):
+    # psi - 1 pebbles on an end fail a weight bound at the root, and psi
+    # pebbles solve
+    g = path(n)
+    res = is_solvable(g, (psi - 1,) + (0,) * (n - 1), DOMINATION)
+    assert res.solvable is False and res.states_explored == 1
+    res = is_solvable(g, (psi,) + (0,) * (n - 1), DOMINATION)
+    assert res.solvable
+    assert verify_certificate(g, res.certificate, DOMINATION).ok
+
+
+def test_deep_path_stacks_decided_within_small_budgets():
+    g = path(12)
+    res = is_solvable(g, (1500,) + (0,) * 11, DOMINATION, budget=5000)
+    assert res.solvable
+    assert verify_certificate(g, res.certificate, DOMINATION).ok
+    res = is_solvable(path(10), (300,) + (0,) * 9, DOMINATION, budget=1000)
+    assert res.solvable
 
 
 def test_is_solvable_relabeling_invariant():
@@ -208,7 +238,7 @@ def test_search_matches_unpruned_reference(goal):
 # ---------------------------------------------------------------------------
 
 PINNED_ORACLE = (
-    78594, "f47903bacf124ba0e2ce3e9149412db59237f744e230cede76ba51e0dd18ff47")
+    78594, "cf87e0d6b8eaf7bd0a9d07ef8d16cff42281ac54765d3b2d42027684ba55b9de")
 
 
 def oracle_outcomes():
@@ -278,6 +308,23 @@ def test_weight_bound_is_sound(case):
         assert reference_moves(g, c, goal) is None
     if satisfies(g, c, goal):
         assert not refuted(g, c, goal)
+
+
+@pytest.mark.parametrize("goal", ALL_GOALS + (subversion(3),),
+                         ids=lambda goal: goal.describe())
+def test_targets_sound(goal):
+    # Every target's weights at most double along an edge, so no move
+    # raises a weight sum, and every vertex set that meets the goal (one
+    # pebble a vertex) weighs at least the target's need.
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            meets = [s for s in range(1 << n) if satisfies_mask(g, s, goal)]
+            for row, need in _targets(g, goal):
+                for u, v in g.edges:
+                    assert row[v] <= 2 * row[u] and row[u] <= 2 * row[v]
+                for s in meets:
+                    weight = sum(x for v, x in enumerate(row) if s >> v & 1)
+                    assert weight >= need, (g, row, need, s)
 
 
 def test_goal_with_too_many_connected_sets_is_searched_unpruned():
