@@ -105,16 +105,13 @@ def _single_graph(args) -> Graph:
 
 
 def _goal_from(args) -> Goal:
-    name = getattr(args, "goal", "dcp") or "dcp"
-    if name == "dcp":
+    if args.goal == "dcp":
         return DOMINATION
-    if name == "cover":
+    if args.goal == "cover":
         return FULL_COVER
-    if name == "subversion":
-        if args.omega is None:
-            raise CliError("--goal subversion requires --omega")
-        return subversion(args.omega)
-    raise CliError(f"unknown goal {name!r}")
+    if args.omega is None:
+        raise CliError("--goal subversion requires --omega")
+    return subversion(args.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +174,11 @@ def _cmd_solve(args) -> int:
         elif args.algorithm == "diamd":
             cert = solve_diameter_d(
                 g, config, check_invariants=not args.skip_invariants)
-        elif args.algorithm == "subversion":
+        else:
             if args.omega is None:
                 raise CliError("solve subversion requires --omega")
             goal = subversion(args.omega)
             cert = solve_subversion_diameter2(g, config, args.omega)
-        else:
-            raise CliError(f"unknown algorithm {args.algorithm!r}")
 
     verdict = verify_certificate(g, cert, goal)
     print(cert.to_json())

@@ -9,8 +9,8 @@ precondition, each solver passes its configuration through the gate that
 ``is_solvable`` uses, :func:`~dcpebble.pebbling.check_configuration`: a
 wrong length, or a count that is not an int or is negative, raises
 PebblingError.  One diameter-2 engine serves both domination and
-subversion: the subversion solver runs it on the whole graph with a few
-remote vertices set aside.
+subversion: it runs on the whole graph and, for subversion, sets the
+omega lowest-indexed remote vertices aside itself.
 
 The diameter-d solver carries its full bookkeeping state and can assert the
 eight running invariants that make its accounting sound; a violation is an
@@ -62,11 +62,18 @@ class CoverPartition:
 
 
 def partition_covered(g: Graph, c: Sequence[int]) -> CoverPartition:
-    cov = support_mask(check_configuration(g, c))
+    return CoverPartition(*map(frozenset,
+                               _split(g, check_configuration(g, c))))
+
+
+def _split(g: Graph, counts: Sequence[int]
+           ) -> tuple[list[int], list[int], list[int]]:
+    """The covered, fringe and remote vertices of ``counts``, each
+    ascending."""
+    cov = support_mask(counts)
     dom = dominated_mask(g, cov)
-    return CoverPartition(frozenset(_members(g, cov)),
-                          frozenset(_members(g, dom & ~cov)),
-                          frozenset(_members(g, g.full_mask & ~dom)))
+    return (_members(g, cov), _members(g, dom & ~cov),
+            _members(g, g.full_mask & ~dom))
 
 
 def _members(g: Graph, mask: int) -> list[int]:
@@ -138,60 +145,48 @@ def _move(g: Graph, counts: list[int], moves: list[PebblingMove],
     moves.append((src, dst))
 
 
-def _dominate_from_pair(g: Graph, counts: list[int], moves: list[PebblingMove],
-                        z: int, sources: list[int]) -> None:
-    """Spend one pair from the nearest eligible source (``sources`` is
-    ascending) so that z becomes dominated: onto z itself at distance 1,
-    onto a shared neighbor at distance 2."""
-    best = None
-    for w in sources:
-        if counts[w] >= 2:
-            d = g.dist[z][w]
-            if best is None or d < best[0]:
-                best = (d, w)
-    if best is None:
+def _relay(g: Graph, counts: list[int], moves: list[PebblingMove],
+           covered: list[int], z: int, least: int = 2) -> None:
+    """Dominate z, which has no pebble in its closed neighbourhood, by
+    spending a pair from the first covered source holding at least
+    ``least`` pebbles (at least 2 if none holds that many) onto that
+    source's lowest common neighbour with z.  On diameter at most 2 every
+    such source is exactly 2 away from z."""
+    srcs = [w for w in covered if counts[w] >= 2]
+    if not srcs:
         raise InvariantViolation(
             f"no pair left to dominate vertex {z}; accounting is wrong")
-    d, w = best
-    if d == 1:
-        _move(g, counts, moves, w, z)
-        return
-    if d != 2:
+    w = next((w for w in srcs if counts[w] >= least), srcs[0])
+    if g.dist[w][z] != 2:
         raise InvariantViolation(
-            f"source {w} at distance {d} from {z}; expected at most 2")
-    mids = sorted(g.adj_sets[w] & g.adj_sets[z])
-    if not mids:
-        raise InvariantViolation(f"no middle vertex between {w} and {z}")
-    _move(g, counts, moves, w, mids[0])
+            f"source {w} at distance {g.dist[w][z]} from {z}; expected 2")
+    _move(g, counts, moves, w, min(g.adj_sets[w] & g.adj_sets[z]))
 
 
 def _dominate_core(g: Graph, counts: list[int],
-                   ignored: int = 0) -> list[PebblingMove]:
-    """Shared engine of the diameter-2 bound: drive ``counts`` to a
-    configuration whose support dominates every vertex of ``g`` outside
-    the bitmask ``ignored``.
+                   omega: int = 0) -> list[PebblingMove]:
+    """Shared engine of the diameter-2 bounds: drive ``counts`` to a
+    configuration whose support dominates every vertex of ``g`` except
+    the ``omega`` lowest-indexed undominated (remote) vertices, which it
+    sets aside.
 
-    ``ignored`` may hold only undominated (remote) vertices.  Such a
-    vertex is adjacent to no covered vertex, so it is never a source, a
-    target or a middle vertex, and no distance the engine measures (from
-    an originally covered vertex, at most 2) runs through it.
+    A set-aside vertex is adjacent to no covered vertex, so it is never a
+    source, a target or a middle vertex, and no distance the engine
+    measures (from an originally covered vertex, at most 2) runs through
+    it.
     """
-    cov = support_mask(counts)
-    dom = dominated_mask(g, cov)
+    covered, fringe, remote = _split(g, counts)
+    aside = sum(1 << v for v in remote[:omega])
+    remote = remote[omega:]
     moves: list[PebblingMove] = []
-    remote = _members(g, g.full_mask & ~dom & ~ignored)
     if not remote:
         return moves
-    covered = _members(g, cov)
-    fringe = _members(g, dom & ~cov)
 
     if len(fringe) <= len(remote):
         # Cover fringe vertices one pair each from adjacent sources while
         # pairs are within reach.
         for v in fringe:
-            if counts[v] > 0:
-                continue
-            srcs = [w for w in g.adj[v] if cov >> w & 1 and counts[w] >= 2]
+            srcs = [w for w in g.adj[v] if counts[w] >= 2]
             if srcs:
                 _move(g, counts, moves, min(srcs), v)
     else:
@@ -199,33 +194,15 @@ def _dominate_core(g: Graph, counts: list[int],
         # a source, spending pairs from 3-or-more stacks first so sources
         # stay covered as long as possible.
         for v in remote:
-            if _is_dominated(g, counts, v):
-                continue
-            src = None
-            for w in covered:
-                if counts[w] >= 3:
-                    src = w
-                    break
-            if src is None:
-                for w in covered:
-                    if counts[w] >= 2:
-                        src = w
-                        break
-            if src is None:
-                raise InvariantViolation(
-                    f"no pair left for remote vertex {v}; accounting is wrong")
-            mids = sorted(g.adj_sets[src] & g.adj_sets[v])
-            if not mids:
-                raise InvariantViolation(
-                    f"no vertex between source {src} and remote {v}")
-            _move(g, counts, moves, src, mids[0])
+            if not _is_dominated(g, counts, v):
+                _relay(g, counts, moves, covered, v, least=3)
     # Leftover fringe vertices, and any whose source went dark, sit at
     # distance 2 from every remaining pair; one pair each dominates them.
     for z in fringe:
-        if counts[z] == 0 and not _is_dominated(g, counts, z):
-            _dominate_from_pair(g, counts, moves, z, covered)
+        if not _is_dominated(g, counts, z):
+            _relay(g, counts, moves, covered, z)
 
-    if dominated_mask(g, support_mask(counts)) | ignored != g.full_mask:
+    if dominated_mask(g, support_mask(counts)) | aside != g.full_mask:
         raise InvariantViolation("terminal support fails to dominate")
     return moves
 
@@ -503,11 +480,11 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
     (so no undominated component exceeds ``omega``) from any configuration
     of at least n-1-omega pebbles on a graph of diameter at most 2.
 
-    If at most omega vertices are undominated already, no moves are
-    needed.  Otherwise omega of the undominated (remote) vertices (the
-    lowest-indexed ones) are set aside and the diameter-2 domination
-    engine dominates every other vertex of ``g``: the n-1-omega pebbles
-    are the n'-1 it needs on the n' = n-omega vertices that remain.
+    The diameter-2 domination engine sets aside the omega lowest-indexed
+    undominated (remote) vertices itself and dominates every other vertex
+    of ``g``: the n-1-omega pebbles are the n'-1 it needs on the
+    n' = n-omega vertices that remain.  With at most omega vertices
+    undominated already, it needs no moves.
     """
     initial = check_configuration(g, c)
     _require_diameter2(g)
@@ -519,18 +496,4 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
             "the bound n-1-omega is only meaningful for omega <= n-2")
     _require_pebbles(initial, g.n - 1 - omega, "n-1-omega")
 
-    dom = dominated_mask(g, support_mask(initial))
-    remote = _members(g, g.full_mask & ~dom)
-    if len(remote) <= omega:
-        return Certificate(initial, ())
-
-    ignored = 0
-    for v in remote[:omega]:
-        ignored |= 1 << v
-    counts = list(initial)
-    moves = _dominate_core(g, counts, ignored)
-    undominated = g.n - dominated_mask(g, support_mask(counts)).bit_count()
-    if undominated > omega:
-        raise InvariantViolation(
-            f"{undominated} vertices left undominated, allowed {omega}")
-    return Certificate(initial, tuple(moves))
+    return Certificate(initial, tuple(_dominate_core(g, list(initial), omega)))

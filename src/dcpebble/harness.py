@@ -116,7 +116,7 @@ def analyze_graph(line: str, omegas: tuple[int, ...] = (),
         if g.n >= 2:
             _record_check(rec, "psi_diameter_bound",
                           psi_report.status == "exact"
-                          and rec.psi <= psi_upper_bound(g.n, max(g.diameter, 1)))
+                          and rec.psi <= psi_upper_bound(g.n, g.diameter))
         _record_check(rec, "psi_le_lambda", rec.psi <= rec.lam)
         rec.ratio = str(Fraction(rec.lam, rec.psi)) if rec.psi > 0 else None
         if rec.psi > 0 and g.n >= 2:

@@ -320,23 +320,32 @@ def test_subversion_linked_star_tight():
 PINNED_OUTCOMES = (
     58284, "2197b31de999ac5e080dd5b2530980c363f7832adf6738b92cba33130d3f5cf5")
 
+PINNED_OUTCOMES_DIAM2_ORDER6 = (
+    215040, "e12adb32ccc7be34686ce6245ea19f19af06a87e10a09ee1542510b6062a69ac")
 
-def solver_outcomes(max_order):
-    """Every outcome of the four solvers on the corpus up to ``max_order``:
-    the certificate's ``(initial, moves)``, or the exception's type and
+SOLVERS = (
+    ("diam2", solve_diameter2),
+    ("spread", spread_diameter2),
+    ("diamd", solve_diameter_d),
+    ("diamd_noinv", lambda g, c: solve_diameter_d(g, c, False)),
+    ("subv1", lambda g, c: solve_subversion_diameter2(g, c, 1)),
+    ("subv2", lambda g, c: solve_subversion_diameter2(g, c, 2)),
+)
+DIAM2_SOLVERS = tuple(s for s in SOLVERS
+                      if s[0] in ("diam2", "spread", "subv1", "subv2"))
+
+
+def solver_outcomes(orders, solvers, max_diameter=None):
+    """Every outcome of ``solvers`` on the corpus graphs of the given
+    orders (of diameter at most ``max_diameter``, if given): the
+    certificate's ``(initial, moves)``, or the exception's type and
     message.  Each solver runs at every size in n-1, n, n-1-omega
     (omega = 1, 2) and 2^(d-2)(n-2)+1, so precondition failures are pinned
     too."""
-    solvers = (
-        ("diam2", solve_diameter2),
-        ("spread", spread_diameter2),
-        ("diamd", solve_diameter_d),
-        ("diamd_noinv", lambda g, c: solve_diameter_d(g, c, False)),
-        ("subv1", lambda g, c: solve_subversion_diameter2(g, c, 1)),
-        ("subv2", lambda g, c: solve_subversion_diameter2(g, c, 2)),
-    )
-    for n in range(1, max_order + 1):
+    for n in orders:
         for line, g in zip(connected_graph6_lines(n), connected_graphs(n)):
+            if max_diameter is not None and g.diameter > max_diameter:
+                continue
             sizes = {n - 1, n, n - 2, n - 3}
             if g.diameter >= 2:
                 sizes.add((1 << (g.diameter - 2)) * (n - 2) + 1)
@@ -352,10 +361,20 @@ def solver_outcomes(max_order):
                         yield f"{name} {line} {c} {out}\n"
 
 
-def test_solver_outcomes_pinned():
+def _digest(rows):
     digest = hashlib.sha256()
     calls = 0
-    for row in solver_outcomes(5):
+    for row in rows:
         digest.update(row.encode())
         calls += 1
-    assert (calls, digest.hexdigest()) == PINNED_OUTCOMES
+    return calls, digest.hexdigest()
+
+
+def test_solver_outcomes_pinned():
+    assert _digest(solver_outcomes(range(1, 6), SOLVERS)) == PINNED_OUTCOMES
+
+
+def test_solver_outcomes_pinned_diameter2_order6():
+    # order 6 reaches the remote branch's already-dominated skip
+    assert _digest(solver_outcomes((6,), DIAM2_SOLVERS, max_diameter=2)) \
+        == PINNED_OUTCOMES_DIAM2_ORDER6

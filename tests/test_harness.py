@@ -15,6 +15,7 @@ from dcpebble import (
     is_solvable,
     parse_edge_list,
     parse_graph6,
+    path,
     pebbling_value,
     star,
     subversion,
@@ -26,6 +27,7 @@ from dcpebble.harness import (
     analyze_graph,
     emit_csv,
     emit_json,
+    print_summary,
     run_sweep,
     sweep_columns,
     sweep_exit_code,
@@ -44,6 +46,8 @@ def test_analyze_k2():
     assert rec.checks["psi_diameter_bound"] is True
     assert rec.checks["ratio_diam2"] is True
     assert not rec.violations and not rec.findings
+    assert rec.seconds is None
+    assert analyze_graph("A_", timing=True).seconds >= 0
 
 
 def test_analyze_diameter3_uses_conjecture_checks():
@@ -89,6 +93,15 @@ def test_analyze_budget_marks_unknown():
     assert rec.status == "unknown"
     assert rec.psi is None
     assert not rec.violations and not rec.findings
+    # psi is decided, the brute lambda scan runs out
+    rec = analyze_graph(emit_graph6(star(5)), budget=40,
+                        cross_check_lambda=True)
+    assert (rec.status, rec.psi, rec.lam_brute) == ("unknown", 4, None)
+    assert rec.checks.get("lambda_stacking_oracle") is None
+    # Omega_2 is decided, the Omega_1 level runs out
+    rec = analyze_graph(emit_graph6(path(4)), omegas=(1, 2), budget=5)
+    assert rec.status == "unknown"
+    assert rec.omega_values == {1: None, 2: 1}
 
 
 def test_run_sweep_order4_clean():
@@ -115,6 +128,16 @@ def test_sweep_exit_codes():
                             "findings": [{"graph": "x", "check": "c"}]}) == 3
     # a violation dominates a finding
     assert sweep_exit_code({"violations": [{}], "findings": [{}]}) == 2
+    summary = {"graphs": 2, "unknown": 0, "min_ratio": "3",
+               "violations": [{"graph": "A_", "check": "ratio_diam2"}],
+               "findings": [{"graph": "ELq?",
+                             "check": "subversion_diam3_omega_1"}]}
+    buf = io.StringIO()
+    print_summary(summary, buf)
+    assert buf.getvalue() == (
+        "graphs: 2  unknown: 0  min lambda/psi: 3\n"
+        "BOUND VIOLATION ratio_diam2 on A_\n"
+        "finding subversion_diam3_omega_1 on ELq?\n")
 
 
 def test_csv_json_carry_identical_data():
@@ -170,6 +193,12 @@ def test_cli_compute_psi(capsys, star5_file):
     assert code == 0
     assert "psi = 4" in out
     assert "witness = 0,0,1,1,1" in out
+    code, out, _ = run_cli(capsys, ["compute", "psi", "--cap", "2",
+                                    "--graph", star5_file])
+    assert code == 75 and out.startswith("psi >= 3 (size cap reached; ")
+    code, out, _ = run_cli(capsys, ["compute", "psi", "--budget", "3",
+                                    "--graph", star5_file])
+    assert code == 75 and "(budget exhausted; " in out
 
 
 def test_cli_compute_omega_wheel(capsys, tmp_path):
@@ -199,6 +228,29 @@ def test_cli_solve_oracle_solvable(capsys, tmp_path):
     assert "verdict: solvable (verified)" in out
     cert = Certificate.from_json(out.splitlines()[1])
     assert cert.initial == (5, 0, 0, 0)
+    for config, goal in (("3,0,1,1", ["--goal", "cover"]),
+                         ("5,0,0,0", ["--goal", "subversion",
+                                      "--omega", "1"])):
+        code, out, _ = run_cli(capsys, ["solve", "oracle", "--config",
+                                        config, "--graph", str(f)] + goal)
+        assert code == 0, goal
+        assert out.endswith("verdict: solvable (verified)\n"), goal
+
+
+def test_cli_solve_constructive(capsys, tmp_path, star5_file):
+    p4 = tmp_path / "p4.el"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+    k5 = tmp_path / "k5.g6"
+    k5.write_text("D~{\n")
+    for argv in (["spread", "--config", "3,0,0,0,0", "--graph", str(k5)],
+                 ["diamd", "--config", "5,0,0,0", "--graph", str(p4)],
+                 ["diamd", "--config", "5,0,0,0", "--graph", str(p4),
+                  "--skip-invariants"],
+                 ["subversion", "--omega", "1", "--config", "0,1,1,1,0",
+                  "--graph", star5_file]):
+        code, out, _ = run_cli(capsys, ["solve"] + argv)
+        assert code == 0, argv
+        assert out.endswith("verdict: solvable (verified)\n"), argv
 
 
 def test_cli_solve_oracle_unsolvable(capsys, star5_file):
@@ -228,7 +280,7 @@ def test_cli_solve_precondition(capsys, tmp_path):
     assert code == 65 and "precondition" in err
 
 
-def test_cli_verify_roundtrip(capsys, tmp_path, star5_file):
+def test_cli_verify_roundtrip(capsys, tmp_path, star5_file, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "diam2", "--config",
                                     "0,4,0,0,0", "--graph", star5_file])
     assert code == 0
@@ -237,6 +289,18 @@ def test_cli_verify_roundtrip(capsys, tmp_path, star5_file):
     code, out, _ = run_cli(capsys, ["verify", "--certificate",
                                     str(cert_file), "--graph", star5_file])
     assert code == 0 and out.startswith("valid")
+    code, out_stdin, _ = run_cli(capsys, ["verify", "--certificate", "-",
+                                          "--graph", star5_file],
+                                 stdin=cert_file.read_text(),
+                                 monkeypatch=monkeypatch)
+    assert code == 0 and out_stdin == out
+
+    # legal, but the initial configuration dominates only the leaf's edge
+    idle = tmp_path / "idle.json"
+    idle.write_text(Certificate((0, 4, 0, 0, 0), ()).to_json())
+    code, out, _ = run_cli(capsys, ["verify", "--certificate", str(idle),
+                                    "--graph", star5_file])
+    assert code == 1 and out == "invalid: goal-not-met\n"
 
     bad = Certificate.from_json(cert_file.read_text())
     tampered = Certificate(bad.initial, ((0, 2),) + bad.moves)
@@ -265,11 +329,21 @@ def test_cli_parse_errors(capsys, tmp_path, monkeypatch):
                  ["sweep", "--omega", "a"],
                  ["compute", "psi", "--budget", "-5"],
                  ["sweep", "--jobs", "-3"],
-                 ["sweep", "--out", str(tmp_path / "missing" / "x.csv")]):
+                 ["sweep", "--out", str(tmp_path / "missing" / "x.csv")],
+                 ["solve", "subversion", "--config", "1,0"],
+                 ["solve", "oracle", "--goal", "subversion", "--config",
+                  "1,0"],
+                 ["compute", "omega"],
+                 ["verify", "--certificate", str(tmp_path / "none.json")]):
         code, out, err = run_cli(capsys, argv + ["--graph", str(good)])
         assert code == 64, argv
         assert "error:" in err, argv
         assert out == "", argv
+    for stdin in ("A_\nA_\n", ""):
+        code, out, err = run_cli(capsys, ["compute", "psi"], stdin=stdin,
+                                 monkeypatch=monkeypatch)
+        assert (code, out) == (64, ""), stdin
+        assert "error:" in err, stdin
 
 
 def test_cli_sweep_formats_and_jobs(capsys, tmp_path, monkeypatch):
@@ -291,6 +365,11 @@ def test_cli_sweep_formats_and_jobs(capsys, tmp_path, monkeypatch):
     payload = json.loads(out_file.read_text())
     assert payload["summary"]["graphs"] == 6
     assert payload["summary"]["violations"] == []
+    code, out_json, _ = run_cli(capsys, ["sweep", "--omega", "1",
+                                         "--format", "json"],
+                                stdin=stream, monkeypatch=monkeypatch)
+    assert code == 0 and out_json.endswith("}\n")
+    assert json.loads(out_json) == payload
 
 
 def test_cli_family_and_formats(capsys):
@@ -308,7 +387,8 @@ def test_cli_family_and_formats(capsys):
                  ["family", "random", "--order", "3", "--diameter", "2:1"],
                  ["family", "random", "--order", "4", "--diameter", "2:3:9"],
                  ["family", "random", "--order", "4", "--diameter", "2:"],
-                 ["family", "random", "--order", "4", "--count", "-2"]):
+                 ["family", "random", "--order", "4", "--count", "-2"],
+                 ["family", "random"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 64 and "error:" in err, argv
 
