@@ -80,18 +80,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _read(path: str | None) -> str:
+    """Text of the file ``path``, or of stdin when None: the one reader."""
+    try:
+        return sys.stdin.read() if path is None else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(
+            f"cannot read {'stdin' if path is None else path}: {exc}") from exc
+
+
 def _read_graph_lines(args) -> list[str]:
-    if args.graph:
-        path = Path(args.graph)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
-        if path.suffix == ".g6":
-            return [ln.strip() for ln in text.splitlines() if ln.strip()]
+    text = _read(args.graph or None)
+    if args.graph and Path(args.graph).suffix != ".g6":
         return [emit_graph6(parse_edge_list(text))]
-    lines = [ln.strip() for ln in sys.stdin.read().splitlines() if ln.strip()]
-    if not lines:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines and not args.graph:
         raise CliError("no graph input on stdin and no --graph given")
     return lines
 
@@ -193,14 +196,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _single_graph(args)
-    if args.certificate == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(args.certificate).read_text()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.certificate}: {exc}") from exc
-    cert = Certificate.from_json(text)
+    cert = Certificate.from_json(
+        _read(None if args.certificate == "-" else args.certificate))
     goal = _goal_from(args)
     result = verify_certificate(g, cert, goal)
     if result.ok:

@@ -50,6 +50,9 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
+        if len(norm) < n - 1:  # refused before any per-vertex table
+            raise DisconnectedGraphError(
+                f"graph on {n} vertices is not connected")
         self.n = n
         self.edges = frozenset(norm)
 

@@ -118,9 +118,10 @@ def analyze_graph(line: str, omegas: tuple[int, ...] = (),
                           psi_report.status == "exact"
                           and rec.psi <= psi_upper_bound(g.n, g.diameter))
         _record_check(rec, "psi_le_lambda", rec.psi <= rec.lam)
-        rec.ratio = str(Fraction(rec.lam, rec.psi)) if rec.psi > 0 else None
-        if rec.psi > 0 and g.n >= 2:
-            ratio_ok = Fraction(rec.lam, rec.psi) >= 3
+        ratio = Fraction(rec.lam, rec.psi)
+        rec.ratio = str(ratio)
+        if g.n >= 2:
+            ratio_ok = ratio >= 3
             if g.diameter <= 2:
                 _record_check(rec, "ratio_diam2", ratio_ok)
             else:
@@ -186,8 +187,7 @@ def run_sweep(lines: list[str], omegas: tuple[int, ...] = (),
                   for r in records for name in r.violations]
     findings = [{"graph": r.graph_id, "check": name}
                 for r in records for name in r.findings]
-    ratios = [Fraction(r.lam, r.psi) for r in records
-              if r.lam is not None and r.psi not in (None, 0)]
+    ratios = [Fraction(r.lam, r.psi) for r in records if r.psi is not None]
     summary = {
         "graphs": len(records),
         "unknown": sum(1 for r in records if r.status == "unknown"),

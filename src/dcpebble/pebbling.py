@@ -227,7 +227,7 @@ class Certificate:
         try:
             data = json.loads(text)
             return cls(data["initial"], data["moves"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise PebblingError(f"bad certificate JSON: {exc}") from exc
 
 

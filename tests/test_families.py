@@ -37,6 +37,9 @@ def test_path_cycle_complete():
     assert cycle(6).diameter == 3
     assert complete(6).diameter == 1
     assert len(complete(6).edges) == 15
+    for make, n in ((path, 0), (cycle, 2), (complete, 0)):
+        with pytest.raises(ValueError):
+            make(n)
 
 
 def test_star_shape():
@@ -51,6 +54,8 @@ def test_wheel_shape():
     assert g.degree(0) == 6
     assert all(g.degree(v) == 3 for v in range(1, 7))
     assert g.diameter == 2
+    with pytest.raises(ValueError):
+        wheel(3)
 
 
 def test_multipartite_shape():
@@ -58,8 +63,9 @@ def test_multipartite_shape():
     assert g.n == 5 and len(g.edges) == 6
     assert g.diameter == 2
     assert complete_multipartite((1, 1, 1)) == complete(3)
-    with pytest.raises(ValueError):
-        complete_multipartite((4,))
+    for parts in ((4,), (2, 0)):
+        with pytest.raises(ValueError):
+            complete_multipartite(parts)
 
 
 def test_binary_tree_shape():
@@ -67,6 +73,8 @@ def test_binary_tree_shape():
     assert g.n == 7
     assert g.degree(0) == 2 and g.degree(3) == 1
     assert g.diameter == 4
+    with pytest.raises(ValueError):
+        binary_tree(0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +84,11 @@ def test_binary_tree_shape():
 def test_tail_clique_m1_is_path():
     assert tail_clique(1, 3) == path(4)
     assert tail_clique(1, 4) == path(5)
+    # m = 1 is the smallest clique side and d = 3 the shortest tail
+    for make, m, d in ((tail_clique, 0, 3), (tail_clique, 2, 2),
+                       (tail_clique_psi_lower_bound, 0, 3)):
+        with pytest.raises(ValueError):
+            make(m, d)
 
 
 @pytest.mark.parametrize("m,d", [(1, 3), (2, 3), (3, 3), (2, 4), (1, 5)])
@@ -143,6 +156,12 @@ def test_apex_pendant_clique_shape(n, omega):
 def test_apex_pendant_clique_degenerate():
     g = apex_pendant_clique(4, 1)  # n = omega + 3: no pendants
     assert g.diameter == 2
+    # below it, or with omega 0, there is no construction
+    for make, n, omega in ((apex_pendant_clique, 5, 0),
+                           (apex_pendant_clique, 3, 1),
+                           (apex_pendant_clique_witness, 3, 1)):
+        with pytest.raises(ValueError):
+            make(n, omega)
 
 
 @pytest.mark.parametrize("n,omega,total", [(7, 1, 6), (8, 1, 7), (7, 2, 4)])
@@ -198,6 +217,9 @@ def test_omega_formula_domain():
         omega_formula(FamilySpec("multipartite", (2, 1)), 0)
     with pytest.raises(ValueError):
         omega_formula(FamilySpec("path", (5,)), 1)
+    for n, omega in ((5, 0), (3, 1)):  # subversion_bounds: same domain
+        with pytest.raises(ValueError):
+            subversion_bounds(n, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_disconnected_rejected():
         build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         build_graph(2, [])
+    # fewer than n - 1 distinct edges fail before any table is built, so a
+    # huge order with no edges fails at once
+    for make in (lambda: build_graph(3, [(0, 1), (1, 0)]),
+                 lambda: parse_edge_list("1000000000 0\n")):
+        with pytest.raises(DisconnectedGraphError, match="is not connected"):
+            make()
+    with pytest.raises(GraphError, match="order must be >= 1"):
+        build_graph(0, [])
 
 
 def test_dominated_vertices_star_center():
@@ -62,6 +70,8 @@ def test_dominated_vertices_p4():
     assert dominated_vertices(g, {0}) == {0, 1}
     # first and third vertices dominate the whole path
     assert dominated_vertices(g, {0, 2}) == {0, 1, 2, 3}
+    with pytest.raises(GraphError):
+        dominated_vertices(g, [9])
 
 
 def test_dominated_vertices_monotone():
@@ -112,6 +122,8 @@ def test_parse_graph6_star():
 def test_graph6_roundtrip_p4():
     g = path(4)
     assert parse_graph6(emit_graph6(g)) == g
+    with pytest.raises(Graph6FormatError):
+        emit_graph6(path(63))
 
 
 def test_graph6_roundtrip_all_fixture_graphs():
@@ -125,6 +137,9 @@ def test_graph6_roundtrip_all_fixture_graphs():
 def test_fixture_counts():
     for n, count in CONNECTED_COUNTS.items():
         assert len(connected_graphs(n)) == count
+    for n in (0, max(CONNECTED_COUNTS) + 1):
+        with pytest.raises(ValueError):
+            connected_graph6_lines(n)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +148,8 @@ def test_fixture_counts():
      "C",     # truncated body
      "C~~",   # oversized body
      "D!!",   # characters outside the graph6 range
-     "D?A"])  # nonzero padding bits
+     "D?A",   # nonzero padding bits
+     "~??~"])  # the long-order form (orders above 62)
 def test_graph6_malformed(bad):
     with pytest.raises(Graph6FormatError):
         parse_graph6(bad)
@@ -155,9 +171,11 @@ def test_edge_list_roundtrip():
 
 
 def test_edge_list_errors():
-    with pytest.raises(GraphError):
-        parse_edge_list("")
-    with pytest.raises(GraphError):
-        parse_edge_list("3\n0 1\n1 2\n")
-    with pytest.raises(GraphError):
-        parse_edge_list("3 2\n0 1\n")  # declared 2 edges, got 1
+    for text in ("",
+                 "3\n0 1\n1 2\n",
+                 "3 2\n0 1\n",  # declared 2 edges, got 1
+                 "a b\n",
+                 "2 1\n0 1 2\n",
+                 "2 1\n0 x\n"):
+        with pytest.raises(GraphError):
+            parse_edge_list(text)

@@ -344,6 +344,30 @@ def test_cli_parse_errors(capsys, tmp_path, monkeypatch):
                                  monkeypatch=monkeypatch)
         assert (code, out) == (64, ""), stdin
         assert "error:" in err, stdin
+    # Hostile input: bytes that are not UTF-8 (in a file or on a strictly
+    # decoded stdin), certificate JSON nested deeper than the parser's
+    # recursion limit, and an order far too large to allocate.
+    latin1 = b"\xff\xfe\n"
+    deep = b"[" * 100_000 + b"]" * 100_000
+    files = {"latin1.g6": latin1, "latin1.el": latin1, "latin1.json": latin1,
+             "deep.json": deep, "huge.el": b"1000000000 0\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    for argv, stdin in (
+            (["compute", "psi", "--graph", str(tmp_path / "latin1.g6")], b""),
+            (["compute", "psi", "--graph", str(tmp_path / "latin1.el")], b""),
+            (["compute", "psi", "--graph", str(tmp_path / "huge.el")], b""),
+            (["verify", "--certificate", str(tmp_path / "latin1.json"),
+              "--graph", str(good)], b""),
+            (["verify", "--certificate", str(tmp_path / "deep.json"),
+              "--graph", str(good)], b""),
+            (["verify", "--certificate", "-", "--graph", str(good)], deep),
+            (["compute", "psi"], latin1)):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(stdin), encoding="utf-8"))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (64, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_cli_sweep_formats_and_jobs(capsys, tmp_path, monkeypatch):

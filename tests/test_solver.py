@@ -365,6 +365,8 @@ def test_cap_gives_lower_bound():
     rep = pebbling_value(STAR5, DOMINATION, cap=2)
     assert rep.status == "cap" and rep.value == 3
     assert sum(rep.witness) == 2
+    with pytest.raises(ValueError):
+        pebbling_value(P4, DOMINATION, cap=-1)
 
 
 def test_budget_gives_partial():
