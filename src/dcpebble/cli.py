@@ -36,10 +36,12 @@ from .families import (
 from .graphs import (
     Graph,
     GraphError,
+    build_graph,
+    check_graph6_order,
     emit_edge_list,
     emit_graph6,
-    parse_edge_list,
     parse_graph6,
+    read_edge_list,
 )
 from .harness import (
     emit_csv,
@@ -92,7 +94,9 @@ def _read(path: str | None) -> str:
 def _read_graph_lines(args) -> list[str]:
     text = _read(args.graph or None)
     if args.graph and Path(args.graph).suffix != ".g6":
-        return [emit_graph6(parse_edge_list(text))]
+        n, edges = read_edge_list(text)
+        check_graph6_order(n)  # before any per-vertex table is built
+        return [emit_graph6(build_graph(n, edges))]
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines and not args.graph:
         raise CliError("no graph input on stdin and no --graph given")
@@ -257,6 +261,8 @@ def _cmd_family(args) -> int:
         raise CliError("family random requires --order")
     try:
         if args.kind == "random":
+            if args.format == "g6":  # refused before any graph is built
+                check_graph6_order(args.order)
             rng = random.Random(args.seed)
             dia = None
             if args.diameter:
@@ -365,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_non_negative,
                    help="per-scan budget of candidate configurations "
                         "scored; exhaustion marks the record unknown")
-    p.add_argument("--jobs", type=_non_negative, default=1)
+    p.add_argument("--jobs", type=_non_negative, default=1, metavar="N",
+                   help="at most N workers, never more than the CPUs or graphs")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", metavar="FILE", help="write report here instead of stdout")
     p.add_argument("--cross-check-lambda", action="store_true",

@@ -12,9 +12,9 @@ PebblingError.  One diameter-2 engine serves both domination and
 subversion: it runs on the whole graph and, for subversion, sets the
 omega lowest-indexed remote vertices aside itself.
 
-The diameter-d solver carries its full bookkeeping state and can assert the
-eight running invariants that make its accounting sound; a violation is an
-implementation bug and is surfaced loudly, never papered over.
+The diameter-d solver keeps by hand only the state its decisions read and
+can assert the eight running invariants that make its accounting sound; a
+violation is an implementation bug and is surfaced loudly, never papered over.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .families import psi_upper_bound
 from .graphs import Graph, dominated_mask, support_mask
 from .pebbling import (
     Certificate,
@@ -132,10 +133,6 @@ def _require_pebbles(c: Configuration, need: int, formula: str) -> None:
             f"needs at least {formula} = {need} pebbles, got {size}")
 
 
-def _is_dominated(g: Graph, counts: list[int], v: int) -> bool:
-    return bool(support_mask(counts) & g.closed_masks[v])
-
-
 def _move(g: Graph, counts: list[int], moves: list[PebblingMove],
           src: int, dst: int) -> None:
     if counts[src] < 2 or not g.is_edge(src, dst):
@@ -194,12 +191,12 @@ def _dominate_core(g: Graph, counts: list[int],
         # a source, spending pairs from 3-or-more stacks first so sources
         # stay covered as long as possible.
         for v in remote:
-            if not _is_dominated(g, counts, v):
+            if not support_mask(counts) & g.closed_masks[v]:
                 _relay(g, counts, moves, covered, v, least=3)
     # Leftover fringe vertices, and any whose source went dark, sit at
     # distance 2 from every remaining pair; one pair each dominates them.
     for z in fringe:
-        if not _is_dominated(g, counts, z):
+        if not support_mask(counts) & g.closed_masks[z]:
             _relay(g, counts, moves, covered, z)
 
     if dominated_mask(g, support_mask(counts)) | aside != g.full_mask:
@@ -219,7 +216,7 @@ def solve_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     if g.n < 2:
         raise PreconditionError("needs at least 2 vertices")
     _require_diameter2(g)
-    _require_pebbles(initial, g.n - 1, "n-1")
+    _require_pebbles(initial, psi_upper_bound(g.n, g.diameter), "n-1")
     moves = _dominate_core(g, list(initial))
     return Certificate(initial, tuple(moves))
 
@@ -385,33 +382,28 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
     d = g.diameter
     if d < 3:
         raise PreconditionError(f"graph has diameter {d}, needs at least 3")
+    _require_pebbles(initial, psi_upper_bound(g.n, d), "2^(d-2)*(n-2)+1")
     clump = 1 << (d - 2)
-    _require_pebbles(initial, clump * (g.n - 2) + 1, "2^(d-2)*(n-2)+1")
 
     counts = list(initial)
     moves: list[PebblingMove] = []
-    covered = set(v for v in range(g.n) if counts[v] > 0)
-    pending = set(range(g.n)) - covered
+    # pending and retired are kept by hand, not read off the counts:
+    # invariants 1 and 6 compare them with the counts.
+    pending = set(v for v in range(g.n) if counts[v] == 0)
     retired: set[int] = set()
     initial_pending = len(pending)
     step = 0
 
-    def heavy_set() -> set[int]:
-        return set(v for v in range(g.n) if counts[v] >= clump + 1)
-
-    heavy = heavy_set()
-
-    def snapshot() -> SolverState:
-        return SolverState(tuple(counts), frozenset(covered),
-                           frozenset(heavy), frozenset(pending),
-                           frozenset(retired), step)
-
-    if check_invariants:
-        check_solver_state(g, snapshot(), initial, moves, initial_pending)
-
     while True:
-        undominated = [w for w in sorted(pending)
-                       if not _is_dominated(g, counts, w)]
+        heavy = [v for v in range(g.n) if counts[v] > clump]
+        if check_invariants:
+            covered = frozenset(v for v in range(g.n) if counts[v] > 0)
+            check_solver_state(
+                g, SolverState(tuple(counts), covered, frozenset(heavy),
+                               frozenset(pending), frozenset(retired), step),
+                initial, moves, initial_pending)
+        dominated = dominated_mask(g, support_mask(counts))
+        undominated = [w for w in sorted(pending) if not dominated >> w & 1]
         if not undominated:
             break
         step += 1
@@ -423,27 +415,17 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
         if not heavy:
             raise InvariantViolation("no heavy vertex despite pending work")
 
-        near = None
-        for vp in sorted(heavy):
-            for wp in sorted(pending):
-                if g.dist[vp][wp] <= d - 2:
-                    near = (vp, wp)
-                    break
-            if near:
-                break
-
+        near = next(((vp, wp) for vp in heavy for wp in sorted(pending)
+                     if g.dist[vp][wp] <= d - 2), None)
         if near is not None:
             vp, wp = near
             _cascade(g, counts, moves, _lex_shortest_path(g, vp, wp))
-            pending.discard(wp)
-            covered.add(wp)
         else:
             wp = undominated[0]
             if min(g.dist[vp][wp] for vp in heavy) != d:
                 raise InvariantViolation(
                     f"undominated vertex {wp} not at full distance from heavy set")
-            vp = min(heavy)
-            path = _lex_shortest_path(g, vp, wp)
+            path = _lex_shortest_path(g, heavy[0], wp)
             vstar, wside = path[d - 2], path[d - 1]
             if counts[vstar] <= 0 or vstar in heavy:
                 raise InvariantViolation(
@@ -454,18 +436,12 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
             _cascade(g, counts, moves, path[:d - 1])
             _move(g, counts, moves, vstar, wside)
             retired.add(wp)
-            pending.discard(wp)
-            covered.add(wside)
             pending.discard(wside)
             if counts[vstar] == 0:
-                covered.discard(vstar)
                 pending.add(vstar)
+        pending.discard(wp)
 
-        heavy = heavy_set()
-        if check_invariants:
-            check_solver_state(g, snapshot(), initial, moves, initial_pending)
-
-    if dominated_mask(g, support_mask(counts)) != g.full_mask:
+    if dominated != g.full_mask:
         raise InvariantViolation("terminal support fails to dominate")
     return Certificate(initial, tuple(moves))
 

@@ -193,6 +193,16 @@ def max_undominated_component(g: Graph, covered_mask: int) -> int:
 # graph6 encoding (orders up to 62, which is far beyond desk scale here)
 # ---------------------------------------------------------------------------
 
+GRAPH6_MAX_ORDER = 62  # the one-byte order field; the long forms are not read
+
+
+def check_graph6_order(n: int) -> None:
+    """Refuse an order above GRAPH6_MAX_ORDER, before any graph is built."""
+    if n > GRAPH6_MAX_ORDER:
+        raise Graph6FormatError(
+            f"graph6 orders above {GRAPH6_MAX_ORDER} are not supported")
+
+
 def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line into a connected :class:`Graph`.
 
@@ -207,9 +217,8 @@ def parse_graph6(text: str) -> Graph:
     data = [ord(ch) - 63 for ch in line]
     if any(b < 0 or b > 63 for b in data):
         raise Graph6FormatError(f"character out of graph6 range in {line!r}")
-    if data[0] == 63:
-        raise Graph6FormatError("graph6 orders above 62 are not supported")
     n = data[0]
+    check_graph6_order(n)
     body = data[1:]
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
@@ -234,8 +243,7 @@ def parse_graph6(text: str) -> Graph:
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (inverse of :func:`parse_graph6`)."""
-    if g.n > 62:
-        raise Graph6FormatError("graph6 orders above 62 are not supported")
+    check_graph6_order(g.n)
     bits = []
     for v in range(1, g.n):
         for u in range(v):
@@ -256,6 +264,11 @@ def emit_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
+    return build_graph(*read_edge_list(text))
+
+
+def read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Declared order and edges of edge-list text, checked for syntax only."""
     rows = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln]
     if not rows:
@@ -278,7 +291,7 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise GraphError(f"bad edge line {ln!r}") from exc
-    return build_graph(n, edges)
+    return n, edges
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .families import psi_upper_bound, subversion_bounds
 from .graphs import parse_graph6
@@ -159,29 +161,27 @@ def analyze_graph(line: str, omegas: tuple[int, ...] = (),
     return rec
 
 
-def _worker(args: tuple) -> SweepRecord:
-    return analyze_graph(*args)
-
-
 def run_sweep(lines: list[str], omegas: tuple[int, ...] = (),
               budget: int | None = None, cross_check_lambda: bool = False,
               jobs: int = 1, timing: bool = False
               ) -> tuple[list[SweepRecord], dict]:
     """Analyze every graph6 line; records come back in input order
-    regardless of ``jobs``."""
-    tasks = [(ln, omegas, budget, cross_check_lambda, timing)
-             for ln in lines]
-    if jobs > 1 and len(tasks) > 1:
+    regardless of ``jobs``.  A pool starts all its workers at once, so at
+    most ``jobs`` run, never more than the CPUs or the graphs."""
+    analyze = partial(analyze_graph, omegas=omegas, budget=budget,
+                      cross_check_lambda=cross_check_lambda, timing=timing)
+    workers = min(jobs, len(lines), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the process-pool machinery costs about 3 MB of
         # memory, which a one-process sweep never uses.
         from concurrent.futures import ProcessPoolExecutor
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(_worker, tasks, chunksize=4))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(analyze, lines, chunksize=4))
         except OSError:  # restricted environments without process pools
-            records = [_worker(t) for t in tasks]
+            records = list(map(analyze, lines))
     else:
-        records = [_worker(t) for t in tasks]
+        records = list(map(analyze, lines))
 
     violations = [{"graph": r.graph_id, "check": name}
                   for r in records for name in r.violations]

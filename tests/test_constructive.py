@@ -6,6 +6,7 @@ import pytest
 from dcpebble import (
     DOMINATION,
     Certificate,
+    FamilySpec,
     InvariantViolation,
     PebblingError,
     PreconditionError,
@@ -16,6 +17,8 @@ from dcpebble import (
     connected_graphs,
     cycle,
     dominated_vertices,
+    emit_graph6,
+    generate,
     partition_covered,
     path,
     random_configuration,
@@ -32,6 +35,7 @@ from dcpebble import (
     tail_clique_far_end,
     verify_certificate,
 )
+from dcpebble import constructive
 from dcpebble.solver import configurations
 
 
@@ -197,10 +201,15 @@ def test_diamd_deterministic():
     assert solve_diameter_d(P4, c) == solve_diameter_d(P4, c)
 
 
+def random_diamd_graphs(rng):
+    """Twelve seeded random graphs of orders 6-8 and diameter 3 or 4."""
+    return [random_connected_graph(order, rng, diameter_range=(3, 4))
+            for order in (6, 7, 8) for _ in range(4)]
+
+
 def test_diamd_randomized_suite():
     rng = random.Random(20240917)
-    graphs = [random_connected_graph(order, rng, diameter_range=(3, 4))
-              for order in (6, 7, 8) for _ in range(4)]
+    graphs = random_diamd_graphs(rng)
     assert len(graphs) >= 12
     for g in graphs:
         threshold = (1 << (g.diameter - 2)) * (g.n - 2) + 1
@@ -241,6 +250,18 @@ def test_state_checker_flags_corruption():
 
     msg = failing(SolverState(counts, cov, frozenset(), pending, none, 0))
     assert "4 (" in msg  # heavy set out of sync with counts
+
+    near = (0, 0, 0, 13, 0)
+    msg = failing(SolverState(near, frozenset({3}), frozenset({3}),
+                              frozenset({0, 1, 2}), frozenset({4}), 0),
+                  initial=near)
+    assert msg.endswith(": 5 (heavy-retired distance)")  # heavy 3 is 1 away
+
+    spread = (1, 1, 0, 1, 0)
+    msg = failing(SolverState(spread, frozenset({0, 1, 3}), none,
+                              frozenset({4}), frozenset({2}), 0),
+                  initial=spread)
+    assert msg.endswith(": 5 (retired eccentricity)")  # no vertex 4 away
 
     msg = failing(SolverState(counts, cov, heavy, frozenset({1, 2, 3}),
                               none, 0))
@@ -378,3 +399,51 @@ def test_solver_outcomes_pinned_diameter2_order6():
     # order 6 reaches the remote branch's already-dominated skip
     assert _digest(solver_outcomes((6,), DIAM2_SOLVERS, max_diameter=2)) \
         == PINNED_OUTCOMES_DIAM2_ORDER6
+
+
+# Pinned before the diameter-d solver lost its hand-kept ``covered`` set:
+# every certificate, and every state handed to the invariant checker.
+PINNED_DIAMD_OUTCOMES = (
+    1687, "2ec11bcfae73f493def92ae7dc32e7e371752e1bd5150e81389eb9465f4bd827")
+
+DIAMD_FAMILIES = (
+    ("tail-clique", (2, 4)), ("tail-clique", (4, 5)), ("tail-clique", (8, 4)),
+    ("tail-clique", (10, 3)), ("path", (10,)), ("path", (14,)),
+    ("cycle", (12,)), ("cycle", (20,)), ("binary-tree", (3,)),
+    ("apex-pendant-clique", (20, 2)),
+)
+
+
+def diamd_outcomes(monkeypatch):
+    """Rows for 25 seeded threshold configurations on each of the random
+    diameter-d graphs and the named diameter-d families, solved with and
+    without invariants.  Sets are written sorted: equal frozensets built
+    in different orders can repr differently."""
+    rows = []
+
+    def recording(g, state, initial, moves, initial_pending):
+        rows.append(f"state {state.counts} {sorted(state.covered)} "
+                    f"{sorted(state.heavy)} {sorted(state.pending)} "
+                    f"{sorted(state.retired)} {state.step} "
+                    f"{initial_pending}\n")
+        check(g, state, initial, moves, initial_pending)
+
+    check = constructive.check_solver_state
+    monkeypatch.setattr(constructive, "check_solver_state", recording)
+    graphs = random_diamd_graphs(random.Random(20240917))
+    graphs += [generate(FamilySpec(kind, params))
+               for kind, params in DIAMD_FAMILIES]
+    rng = random.Random(14)
+    for g in graphs:
+        threshold = (1 << (g.diameter - 2)) * (g.n - 2) + 1
+        for _ in range(25):
+            c = random_configuration(g.n, threshold, rng)
+            for invariants in (True, False):
+                cert = solve_diameter_d(g, c, invariants)
+                rows.append(f"cert {emit_graph6(g)} {invariants} "
+                            f"{cert.initial} {cert.moves}\n")
+    return rows
+
+
+def test_diamd_outcomes_pinned(monkeypatch):
+    assert _digest(diamd_outcomes(monkeypatch)) == PINNED_DIAMD_OUTCOMES

@@ -20,6 +20,7 @@ from dcpebble import (
     wheel,
 )
 from dcpebble.fixtures import CONNECTED_COUNTS
+from dcpebble.graphs import GRAPH6_MAX_ORDER
 
 
 def test_build_p4():
@@ -124,6 +125,8 @@ def test_graph6_roundtrip_p4():
     assert parse_graph6(emit_graph6(g)) == g
     with pytest.raises(Graph6FormatError):
         emit_graph6(path(63))
+    assert parse_graph6(emit_graph6(path(GRAPH6_MAX_ORDER))) \
+        == path(GRAPH6_MAX_ORDER)
 
 
 def test_graph6_roundtrip_all_fixture_graphs():

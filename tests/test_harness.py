@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
 import types
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from dcpebble import (
     wheel,
 )
 from dcpebble.cli import main
+from dcpebble.graphs import Graph
 from dcpebble.harness import (
     SweepRecord,
     analyze_graph,
@@ -118,6 +121,55 @@ def test_run_sweep_jobs_equivalent():
     one, _ = run_sweep(lines, omegas=(1,))
     two, _ = run_sweep(lines, omegas=(1,), jobs=2)
     assert [r.flat((1,)) for r in one] == [r.flat((1,)) for r in two]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that records the number of
+    workers asked for and maps serially, so no process is started."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+def test_run_sweep_caps_workers(pool_sizes, monkeypatch):
+    # A pool forks all of its workers at once, so --jobs must never reach
+    # it unbounded: at most the CPUs, at most the graphs, serial at one.
+    lines = connected_graph6_lines(4)  # six graphs
+    serial = [r.flat((1,)) for r in run_sweep(lines, omegas=(1,))[0]]
+    for cpus, jobs, want in ((8, 100_000, [6]), (3, 100_000, [3]),
+                             (8, 4, [4]), (1, 100_000, []), (None, 5, []),
+                             (8, 1, []), (8, 0, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pool_sizes.clear()
+        records, _ = run_sweep(lines, omegas=(1,), jobs=jobs)
+        assert pool_sizes == want, (cpus, jobs)
+        assert [r.flat((1,)) for r in records] == serial, (cpus, jobs)
+
+
+def test_run_sweep_without_process_pools(monkeypatch):
+    def refuse(max_workers):
+        raise OSError("process pools are not available")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    lines = connected_graph6_lines(4)
+    serial, _ = run_sweep(lines, omegas=(1,))
+    pooled, _ = run_sweep(lines, omegas=(1,), jobs=4)
+    assert [r.flat((1,)) for r in pooled] == [r.flat((1,)) for r in serial]
 
 
 def test_sweep_exit_codes():
@@ -394,6 +446,31 @@ def test_cli_sweep_formats_and_jobs(capsys, tmp_path, monkeypatch):
                                 stdin=stream, monkeypatch=monkeypatch)
     assert code == 0 and out_json.endswith("}\n")
     assert json.loads(out_json) == payload
+
+
+def test_cli_sweep_huge_jobs(capsys, monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    stream = "\n".join(connected_graph6_lines(3)) + "\n"  # two graphs
+    serial = run_cli(capsys, ["sweep"], stdin=stream, monkeypatch=monkeypatch)
+    huge = run_cli(capsys, ["sweep", "--jobs", "100000"], stdin=stream,
+                   monkeypatch=monkeypatch)
+    assert huge == serial and serial[0] == 0
+    assert pool_sizes == [2]
+
+
+def test_cli_refuses_graph6_order_before_building(capsys, tmp_path,
+                                                  monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("graph built before its order was refused")
+    big = tmp_path / "path63.el"
+    big.write_text(emit_edge_list(path(63)))
+    monkeypatch.setattr(Graph, "_bfs", unbuilt)
+    monkeypatch.setattr("dcpebble.cli.random_connected_graph", unbuilt)
+    refused = (64, "", "error: graph6 orders above 62 are not supported\n")
+    for argv in (["compute", "psi", "--graph", str(big)],
+                 ["family", "random", "--order", "63"],
+                 ["family", "random", "--order", "300", "--seed", "3"]):
+        assert run_cli(capsys, argv) == refused, argv
 
 
 def test_cli_family_and_formats(capsys):
