@@ -111,14 +111,19 @@ def _single_graph(args) -> Graph:
     return parse_graph6(lines[0])
 
 
-def _goal_from(args) -> Goal:
-    if args.goal == "dcp":
-        return DOMINATION
-    if args.goal == "cover":
-        return FULL_COVER
-    if args.omega is None:
-        raise CliError("--goal subversion requires --omega")
-    return subversion(args.omega)
+# compute's quantities, solve's algorithms and the --goal of solve and
+# verify; every other word names subversion(--omega).
+_GOALS = {"psi": DOMINATION, "dcp": DOMINATION, "diam2": DOMINATION,
+          "spread": DOMINATION, "diamd": DOMINATION,
+          "lambda": FULL_COVER, "cover": FULL_COVER}
+
+
+def _goal(word: str, omega: int | None) -> Goal:
+    if word in _GOALS:
+        return _GOALS[word]
+    if omega is None:
+        raise CliError(f"--omega is missing: {word!r} needs it")
+    return subversion(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +131,14 @@ def _goal_from(args) -> Goal:
 # ---------------------------------------------------------------------------
 
 def _cmd_compute(args) -> int:
+    goal = _goal(args.quantity, args.omega)
     g = _single_graph(args)
     if args.quantity == "lambda" and not args.brute:
         report = lambda_stacking(g)
     else:
-        if args.quantity == "psi":
-            goal = DOMINATION
-        elif args.quantity == "lambda":
-            goal = FULL_COVER
-        else:
-            if args.omega is None:
-                raise CliError("compute omega requires --omega")
-            goal = subversion(args.omega)
         report = pebbling_value(g, goal, cap=args.cap, budget=args.budget)
 
-    name = {"psi": "psi", "lambda": "lambda", "omega": f"omega_{args.omega}"}[
-        args.quantity]
+    name = f"omega_{args.omega}" if args.quantity == "omega" else args.quantity
     if report.status == "exact":
         print(f"{name} = {report.value}")
     else:
@@ -158,11 +155,12 @@ def _cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    oracle = args.algorithm == "oracle"
+    goal = _goal(args.goal if oracle else args.algorithm, args.omega)
     g = _single_graph(args)
     config = parse_configuration(args.config, g.n)
 
-    if args.algorithm == "oracle":
-        goal = _goal_from(args)
+    if oracle:
         result = is_solvable(g, config, goal, budget=args.budget)
         print(f"states explored = {result.states_explored}")
         if result.unknown:
@@ -172,20 +170,15 @@ def _cmd_solve(args) -> int:
             print("verdict: unsolvable")
             return EXIT_OK
         cert = result.certificate
+    elif args.algorithm == "diam2":
+        cert = solve_diameter2(g, config)
+    elif args.algorithm == "spread":
+        cert = spread_diameter2(g, config)
+    elif args.algorithm == "diamd":
+        cert = solve_diameter_d(
+            g, config, check_invariants=not args.skip_invariants)
     else:
-        goal = DOMINATION
-        if args.algorithm == "diam2":
-            cert = solve_diameter2(g, config)
-        elif args.algorithm == "spread":
-            cert = spread_diameter2(g, config)
-        elif args.algorithm == "diamd":
-            cert = solve_diameter_d(
-                g, config, check_invariants=not args.skip_invariants)
-        else:
-            if args.omega is None:
-                raise CliError("solve subversion requires --omega")
-            goal = subversion(args.omega)
-            cert = solve_subversion_diameter2(g, config, args.omega)
+        cert = solve_subversion_diameter2(g, config, args.omega)
 
     verdict = verify_certificate(g, cert, goal)
     print(cert.to_json())
@@ -199,10 +192,10 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    goal = _goal(args.goal, args.omega)
     g = _single_graph(args)
     cert = Certificate.from_json(
         _read(None if args.certificate == "-" else args.certificate))
-    goal = _goal_from(args)
     result = verify_certificate(g, cert, goal)
     if result.ok:
         print(f"valid: final configuration "
@@ -247,22 +240,15 @@ def _cmd_sweep(args) -> int:
 # family
 # ---------------------------------------------------------------------------
 
-def _emit_graphs(graphs: list[Graph], fmt: str) -> None:
-    for g in graphs:
-        if fmt == "edgelist":
-            sys.stdout.write(emit_edge_list(g))
-            sys.stdout.write("\n")
-        else:
-            print(emit_graph6(g))
-
-
 def _cmd_family(args) -> int:
-    if args.kind == "random" and args.order is None:
+    random_kind = args.kind == "random"
+    if random_kind and args.order is None:
         raise CliError("family random requires --order")
+    spec = FamilySpec(args.kind, tuple(args.params))
     try:
-        if args.kind == "random":
-            if args.format == "g6":  # refused before any graph is built
-                check_graph6_order(args.order)
+        if args.format == "g6":  # refused before any graph is built
+            check_graph6_order(args.order if random_kind else spec.order)
+        if random_kind:
             rng = random.Random(args.seed)
             dia = None
             if args.diameter:
@@ -273,12 +259,14 @@ def _cmd_family(args) -> int:
                                              diameter_range=dia)
                       for _ in range(args.count)]
         else:
-            graphs = [generate(FamilySpec(args.kind, tuple(args.params)))]
+            graphs = [generate(spec)]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except RuntimeError as exc:  # sampling gave up on a reachable range
         raise CliError(str(exc), EXIT_BUDGET) from exc
-    _emit_graphs(graphs, args.format)
+    for g in graphs:
+        print(emit_edge_list(g) if args.format == "edgelist"
+              else emit_graph6(g))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .families import psi_upper_bound
+from .families import psi_upper_bound, subversion_bounds
 from .graphs import Graph, dominated_mask, support_mask
 from .pebbling import (
     Certificate,
@@ -228,6 +228,10 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     neighbor, moves one pair there (lowest-index source, then lowest-index
     target).  With minimum degree above ceil((n-1)/2) and at least
     floor((4n-2m-3)/3) pebbles the terminal support dominates.
+
+    One ascending pass finds the same moves: a source keeps at least one
+    pebble and a target ends with exactly one, so no vertex the pass has
+    left behind can become a source again.
     """
     initial = check_configuration(g, c)
     _require_diameter2(g)
@@ -239,19 +243,12 @@ def spread_diameter2(g: Graph, c: Sequence[int]) -> Certificate:
     _require_pebbles(initial, (4 * n - 2 * m - 3) // 3, "floor((4n-2m-3)/3)")
     counts = list(initial)
     moves: list[PebblingMove] = []
-    while True:
-        step = None
-        for u in range(n):
-            if counts[u] >= 3:
-                for v in g.adj[u]:
-                    if counts[v] == 0:
-                        step = (u, v)
-                        break
-                if step:
-                    break
-        if step is None:
-            break
-        _move(g, counts, moves, *step)
+    for u in range(n):
+        for v in g.adj[u]:
+            if counts[u] < 3:
+                break
+            if counts[v] == 0:
+                _move(g, counts, moves, u, v)
     if dominated_mask(g, support_mask(counts)) != g.full_mask:
         raise InvariantViolation("spread terminated without dominating")
     return Certificate(initial, tuple(moves))
@@ -470,6 +467,6 @@ def solve_subversion_diameter2(g: Graph, c: Sequence[int],
         raise PreconditionError(
             f"omega={omega} leaves fewer than one pebble on {g.n} vertices; "
             "the bound n-1-omega is only meaningful for omega <= n-2")
-    _require_pebbles(initial, g.n - 1 - omega, "n-1-omega")
+    _require_pebbles(initial, subversion_bounds(g.n, omega)[0], "n-1-omega")
 
     return Certificate(initial, tuple(_dominate_core(g, list(initial), omega)))

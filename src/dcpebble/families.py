@@ -8,6 +8,7 @@ vertices (hub, apex, tail end, ...) by stable indices.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -73,17 +74,10 @@ def complete_multipartite(parts: list[int] | tuple[int, ...]) -> Graph:
         raise ValueError("need at least 2 classes for a connected graph")
     if any(p < 1 for p in parts):
         raise ValueError("every class needs at least 1 vertex")
-    bounds = [0]
-    for p in parts:
-        bounds.append(bounds[-1] + p)
-    n = bounds[-1]
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in range(bounds[i], bounds[i + 1]):
-                for v in range(bounds[j], bounds[j + 1]):
-                    edges.append((u, v))
-    g = build_graph(n, edges)
+    label = [i for i, p in enumerate(parts) for _ in range(p)]  # v's class
+    edges = [(u, v) for u, v in combinations(range(len(label)), 2)
+             if label[u] != label[v]]
+    g = build_graph(len(label), edges)
     assert g.diameter <= 2
     return g
 
@@ -269,16 +263,18 @@ def psi_upper_bound(n: int, d: int) -> int:
     return (1 << (d - 2)) * (n - 2) + 1
 
 
-def subversion_bounds(n: int, omega: int) -> tuple[int, int]:
+def subversion_bounds(n: int, omega: int) -> tuple[int, int | None]:
     """(proven diameter-2 upper bound, conjectured diameter-3 upper bound)
-    for the omega-subversion number: n-1-omega and
-    floor(3(n-2-omega)/2) + 1.  The second value is conjectural and is
+    for the omega-subversion number with 1 <= omega <= n-2: n-1-omega and
+    floor(3(n-2-omega)/2) + 1, the second None when n < omega + 3, outside
+    the conjecture's domain.  The second value is conjectural and is
     reported as a finding, never asserted."""
     if omega < 1:
         raise ValueError("need omega >= 1")
-    if n < omega + 3:
-        raise ValueError("need n >= omega + 3")
-    return n - 1 - omega, (3 * (n - 2 - omega)) // 2 + 1
+    if n < omega + 2:
+        raise ValueError("need n >= omega + 2")
+    conjectured = (3 * (n - 2 - omega)) // 2 + 1 if n >= omega + 3 else None
+    return n - 1 - omega, conjectured
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +288,45 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...]
 
+    @property
+    def order(self) -> int:
+        """Order of the graph :func:`generate` builds; nothing is built."""
+        return _apply(self, 1)
 
-_GENERATORS = {
-    "path": lambda p: path(*p),
-    "cycle": lambda p: cycle(*p),
-    "complete": lambda p: complete(*p),
-    "star": lambda p: star(*p),
-    "wheel": lambda p: wheel(*p),
-    "multipartite": lambda p: complete_multipartite(p),
-    "binary-tree": lambda p: binary_tree(*p),
-    "tail-clique": lambda p: tail_clique(*p),
-    "star-leaf-path": lambda p: star_with_leaf_path(*p),
-    "apex-pendant-clique": lambda p: apex_pendant_clique(*p),
+
+# kind -> (generator, order of the graph it builds), both on the parameters;
+# no order formula builds anything that grows with a parameter.
+_FAMILIES = {
+    "path": (path, lambda n: n),
+    "cycle": (cycle, lambda n: n),
+    "complete": (complete, lambda n: n),
+    "star": (star, lambda n: n),
+    "wheel": (wheel, lambda n: n + 1),
+    "multipartite": (lambda *parts: complete_multipartite(parts),
+                     lambda *parts: sum(parts)),
+    # 2^(h+1) - 1, read as sys.maxsize (no list is longer) when larger
+    "binary-tree": (binary_tree, lambda h: (
+        1 << max(0, min(h + 1, sys.maxsize.bit_length()))) - 1),
+    "tail-clique": (tail_clique, lambda m, d: 2 * m + d - 1),
+    "star-leaf-path": (star_with_leaf_path, lambda n, omega: n),
+    "apex-pendant-clique": (apex_pendant_clique, lambda n, omega: n),
 }
 
-FAMILY_KINDS = tuple(sorted(_GENERATORS))
+FAMILY_KINDS = tuple(sorted(_FAMILIES))
 
 
-def generate(spec: FamilySpec) -> Graph:
-    if spec.kind not in _GENERATORS:
+def _apply(spec: FamilySpec, column: int):
+    if spec.kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {spec.kind!r}")
     try:
-        return _GENERATORS[spec.kind](tuple(spec.params))
+        return _FAMILIES[spec.kind][column](*spec.params)
     except TypeError as exc:
         raise ValueError(
             f"wrong parameter count for family {spec.kind!r}: {spec.params}") from exc
+
+
+def generate(spec: FamilySpec) -> Graph:
+    return _apply(spec, 0)
 
 
 def omega_formula(spec: FamilySpec, omega: int) -> int:

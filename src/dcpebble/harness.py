@@ -146,14 +146,15 @@ def analyze_graph(line: str, omegas: tuple[int, ...] = (),
             continue
         rec.omega_values[k] = report.value
         if 1 <= k <= g.n - 2:
+            proven, conjectured = subversion_bounds(g.n, k)
             if g.diameter <= 2:
                 _record_check(rec, f"subversion_diam2_omega_{k}",
                               report.status == "exact"
-                              and report.value <= g.n - 1 - k)
-            elif g.diameter == 3 and g.n >= k + 3:
+                              and report.value <= proven)
+            elif g.diameter == 3 and conjectured is not None:
                 _record_check(rec, f"subversion_diam3_omega_{k}",
                               report.status == "exact"
-                              and report.value <= subversion_bounds(g.n, k)[1],
+                              and report.value <= conjectured,
                               conjecture=True)
 
     if timing:

@@ -447,3 +447,37 @@ def diamd_outcomes(monkeypatch):
 
 def test_diamd_outcomes_pinned(monkeypatch):
     assert _digest(diamd_outcomes(monkeypatch)) == PINNED_DIAMD_OUTCOMES
+
+
+# Pinned before the spreading solver became one ascending pass.
+PINNED_SPREAD_OUTCOMES = (
+    400, "8bf4f47ea7d148c840b89a6923bcd85b3fc90bfff91cd6884a43c2a9587a8ac1")
+
+SPREAD_FAMILIES = (
+    ("complete", (10,)), ("complete", (16,)), ("multipartite", (2, 3, 4)),
+    ("multipartite", (6, 6, 6)), ("multipartite", (3, 3, 3, 3)),
+)
+
+
+def spread_outcomes():
+    """Rows for seeded configurations of every size from the spreading
+    threshold to the threshold + 3 on the dense named families, each size
+    both dropped uniformly and stacked on one to three vertices."""
+    rng = random.Random(15)
+    for kind, params in SPREAD_FAMILIES:
+        g = generate(FamilySpec(kind, params))
+        threshold = (4 * g.n - 2 * g.min_degree() - 3) // 3
+        for size in range(threshold, threshold + 4):
+            for _ in range(10):
+                stacks = rng.sample(range(g.n), rng.randint(1, 3))
+                stacked = [0] * g.n
+                for _ in range(size):
+                    stacked[rng.choice(stacks)] += 1
+                for c in (random_configuration(g.n, size, rng),
+                          tuple(stacked)):
+                    cert = spread_diameter2(g, c)
+                    yield f"{emit_graph6(g)} {cert.initial} {cert.moves}\n"
+
+
+def test_spread_outcomes_pinned():
+    assert _digest(spread_outcomes()) == PINNED_SPREAD_OUTCOMES

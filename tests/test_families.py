@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -25,6 +27,7 @@ from dcpebble import (
     tail_clique_witness,
     wheel,
 )
+from dcpebble.families import FAMILY_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,10 @@ def test_omega_formula_domain():
         omega_formula(FamilySpec("multipartite", (2, 1)), 0)
     with pytest.raises(ValueError):
         omega_formula(FamilySpec("path", (5,)), 1)
-    for n, omega in ((5, 0), (3, 1)):  # subversion_bounds: same domain
+    # subversion_bounds: the theorem's domain 1 <= omega <= n-2; the
+    # conjectured bound is None below n = omega + 3
+    assert subversion_bounds(3, 1) == (1, None)
+    for n, omega in ((5, 0), (2, 1)):
         with pytest.raises(ValueError):
             subversion_bounds(n, omega)
 
@@ -235,6 +241,46 @@ def test_generate_dispatch():
         generate(FamilySpec("moebius", (5,)))
     with pytest.raises(ValueError):
         generate(FamilySpec("star", (5, 2)))
+
+
+ORDER_CASES = {
+    "path": [(1,), (7,)], "cycle": [(3,), (8,)], "complete": [(1,), (6,)],
+    "star": [(2,), (6,)], "wheel": [(4,), (7,)],
+    "multipartite": [(1, 1), (2, 3, 4)], "binary-tree": [(1,), (4,)],
+    "tail-clique": [(1, 3), (3, 5)], "star-leaf-path": [(4, 1), (9, 2)],
+    "apex-pendant-clique": [(4, 1), (10, 3)],
+}
+
+
+def test_family_order_is_the_generated_order():
+    assert set(ORDER_CASES) == set(FAMILY_KINDS)
+    for kind, cases in ORDER_CASES.items():
+        for params in cases:
+            spec = FamilySpec(kind, params)
+            assert spec.order == generate(spec).n, spec
+    # a tree taller than any list can index reads as sys.maxsize
+    assert FamilySpec("binary-tree", (62,)).order == sys.maxsize
+    for spec, message in ((FamilySpec("moebius", (5,)), "unknown family"),
+                          (FamilySpec("path", ()), "wrong parameter count"),
+                          (FamilySpec("tail-clique", (2,)),
+                           "wrong parameter count")):
+        with pytest.raises(ValueError, match=message):
+            spec.order
+
+
+def test_family_order_builds_nothing_that_grows():
+    # Huge parameters: an order formula that built a list, or a 2^h int,
+    # would allocate megabytes here.
+    huge = 10 ** 7
+    tracemalloc.start()
+    try:
+        orders = [FamilySpec(kind, (huge,) * len(cases[0])).order
+                  for kind, cases in ORDER_CASES.items()]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert min(orders) >= huge
 
 
 def test_random_connected_graph_deterministic():

@@ -11,6 +11,8 @@ import pytest
 import dcpebble
 from dcpebble import (
     Certificate,
+    FamilySpec,
+    binary_tree,
     connected_graph6_lines,
     emit_edge_list,
     emit_graph6,
@@ -23,6 +25,7 @@ from dcpebble import (
     subversion,
     wheel,
 )
+from dcpebble import families
 from dcpebble.cli import main
 from dcpebble.graphs import Graph
 from dcpebble.harness import (
@@ -464,13 +467,39 @@ def test_cli_refuses_graph6_order_before_building(capsys, tmp_path,
         raise AssertionError("graph built before its order was refused")
     big = tmp_path / "path63.el"
     big.write_text(emit_edge_list(path(63)))
-    monkeypatch.setattr(Graph, "_bfs", unbuilt)
+    # A growing order formula fails here, before the height-10^12 case
+    # below would try to build a 2^(10^12) int.
+    assert FamilySpec("binary-tree", (10 ** 6,)).order.bit_length() < 64
+    monkeypatch.setattr(Graph, "__init__", unbuilt)
     monkeypatch.setattr("dcpebble.cli.random_connected_graph", unbuilt)
+    for kind, (_, order) in list(families._FAMILIES.items()):
+        monkeypatch.setitem(families._FAMILIES, kind, (unbuilt, order))
     refused = (64, "", "error: graph6 orders above 62 are not supported\n")
     for argv in (["compute", "psi", "--graph", str(big)],
                  ["family", "random", "--order", "63"],
-                 ["family", "random", "--order", "300", "--seed", "3"]):
+                 ["family", "random", "--order", "300", "--seed", "3"],
+                 ["family", "path", "100000000"],
+                 ["family", "binary-tree", "40"],
+                 ["family", "binary-tree", "1000000000000"],
+                 ["family", "complete", "100000"],
+                 ["family", "multipartite", "40", "40"],
+                 ["family", "binary-tree", "5"]):
         assert run_cli(capsys, argv) == refused, argv
+
+
+def test_cli_goal_needs_omega(capsys, tmp_path, star5_file):
+    cert = tmp_path / "cert.json"
+    cert.write_text(Certificate((0, 4, 0, 0, 0), ()).to_json())
+    for argv, word in (
+            (["compute", "omega"], "omega"),
+            (["solve", "oracle", "--goal", "subversion", "--config",
+              "0,4,0,0,0"], "subversion"),
+            (["solve", "subversion", "--config", "0,4,0,0,0"], "subversion"),
+            (["verify", "--goal", "subversion", "--certificate", str(cert)],
+             "subversion")):
+        code, out, err = run_cli(capsys, argv + ["--graph", star5_file])
+        assert (code, out) == (64, ""), argv
+        assert err == f"error: --omega is missing: {word!r} needs it\n", argv
 
 
 def test_cli_family_and_formats(capsys):
@@ -481,6 +510,18 @@ def test_cli_family_and_formats(capsys):
                                     "edgelist"])
     assert code == 0
     assert parse_edge_list(out) == star(5)
+    code, out, _ = run_cli(capsys, ["family", "binary-tree", "4"])
+    assert code == 0 and parse_graph6(out.strip()) == binary_tree(4)
+    # edge lists keep no order limit
+    code, out, _ = run_cli(capsys, ["family", "binary-tree", "9", "--format",
+                                    "edgelist"])
+    assert code == 0 and parse_edge_list(out).n == 1023
+    for params, message in (
+            (["binary-tree", "0"], "binary tree needs height >= 1"),
+            (["binary-tree", "-5"], "binary tree needs height >= 1"),
+            (["path"], "wrong parameter count for family 'path': ()")):
+        assert run_cli(capsys, ["family", *params]) == (
+            64, "", f"error: {message}\n"), params
     for argv in (["family", "star", "1"],
                  ["family", "random", "--order", "0"],
                  ["family", "random", "--order", "5", "--diameter", "x"],
