@@ -246,8 +246,8 @@ def _cmd_family(args) -> int:
         raise CliError("family random requires --order")
     spec = FamilySpec(args.kind, tuple(args.params))
     try:
-        if args.format == "g6":  # refused before any graph is built
-            check_graph6_order(args.order if random_kind else spec.order)
+        # No command reads a larger graph: refused before any is built.
+        check_graph6_order(args.order if random_kind else spec.order)
         if random_kind:
             rng = random.Random(args.seed)
             dia = None

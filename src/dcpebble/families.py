@@ -387,8 +387,18 @@ def random_connected_graph(order: int, rng: random.Random,
 
 
 def random_configuration(n: int, size: int, rng: random.Random) -> Configuration:
-    """Drop ``size`` pebbles independently and uniformly on ``n`` vertices."""
-    counts = [0] * n
+    """Drop ``size`` pebbles independently and uniformly on ``n`` vertices.
+
+    Each vertex is drawn by ``rng.randrange(n)``'s own rule, inlined: draw
+    n.bit_length() bits until they are below n.  So the counts and the
+    generator's state afterwards are those of one randrange call a pebble.
+    """
+    if n < 1 and size:
+        raise ValueError("no vertex to drop a pebble on")
+    counts, bits, draw = [0] * n, n.bit_length(), rng.getrandbits
     for _ in range(size):
-        counts[rng.randrange(n)] += 1
+        v = draw(bits)
+        while v >= n:
+            v = draw(bits)
+        counts[v] += 1
     return tuple(counts)

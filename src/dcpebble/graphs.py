@@ -63,7 +63,11 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in nbrs)
         self.adj_sets = tuple(frozenset(a) for a in self.adj)
 
-        self.dist = tuple(self._bfs(v) for v in range(n))
+        first = self._bfs(0)
+        if -1 in first:  # the search from vertex 0 decides connectivity
+            raise DisconnectedGraphError(
+                f"graph on {n} vertices is not connected")
+        self.dist = (first, *map(self._bfs, range(1, n)))
         self.diameter = max(max(row) for row in self.dist)
 
         # closed_masks[v] covers v and its neighbors; used by hot
@@ -88,9 +92,6 @@ class Graph:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraphError(
-                f"graph on {self.n} vertices is not connected")
         return tuple(dist)
 
     def is_edge(self, u: int, v: int) -> bool:

@@ -279,7 +279,6 @@ class _Packing:
     def __init__(self, g: Graph, goal: Goal | None, bits: int):
         n, w = g.n, max(bits, 1)
         s = max(bits, n.bit_length()) + g.diameter + 1
-        self.w = w
         self.fields = tuple((1 << w * v, ((1 << w) - 1) << w * v, 1 << v)
                             for v in range(n))
         weights = [unit for unit, _, _ in self.fields]
@@ -350,31 +349,32 @@ def default_cap(g: Graph, goal: Goal) -> int:
 def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     budget: int | None = None) -> list[NumberReport]:
     """Exact values of goals that differ only in omega, from one ascending
-    scan over the configurations of each size in colex order.
+    scan over the configurations of each size.
 
     A configuration's score is the least deficit reachable from it: the
     largest undominated component, or for cover 1 while some vertex is
-    bare.  It is the minimum of its support's score and the scores of the
-    configurations one move away, which the previous level holds.  A level
-    keeps only scores above the smallest requested omega, so one missing
-    from it scores at most that omega.  A configuration is unsolvable for a
-    goal iff it scores above the goal's omega: the value is the first size
-    with no such configuration, and the witness the colex-last one of the
-    size before.
+    bare; it is the minimum of its support's score and the scores one move
+    away, in the previous level.  A level keeps the scores above the least
+    omega asked for, and a goal's value is the first size with none above
+    its omega; its witness is the colex-last one of the size before, the
+    largest such packed int (see :class:`_Packing`).  A pebble never
+    raises a score, so only the upper shadow of a level (those whose every
+    neighbour one pebble smaller was kept) is scored.
 
-    Adding a pebble never raises the score, so a configuration can be kept
-    only if removing any one of its pebbles leaves a kept configuration of
-    the previous level.  Only those candidates (the upper shadow of the
-    previous level) are scored; every other configuration scores at most
-    the smallest omega, so the kept levels equal those of a scan over all
-    configurations.
+    Kept configurations are filed by pattern, ``occupied | sources << n``:
+    the mask of the vertices holding a pebble and the top count bits of
+    those holding two.  A candidate is c + e_v for a kept c and v at or
+    above c's highest occupied vertex t; its pattern is c's with v added
+    to the occupied vertices if v > t, or to the sources if v = t.  So
+    three rows, each built once per scan, serve a pattern's candidates for
+    v: the units the shadow test removes (the pattern's own row, plus t's
+    unit if v > t); the support score, by occupied mask; and the legal
+    moves, by sources (:meth:`_Packing.legal`).
 
-    Configurations are packed ints of counts alone (see :class:`_Packing`),
-    so colex order is integer order and a move is one addition.  Domination
-    and subversion goals share a scan; cover scans alone.  ``checked``
-    counts scored candidates.  Once it exceeds ``budget`` every goal still
-    open gets a ``"budget"`` report, and past ``cap`` (default
-    :func:`default_cap`) a ``"cap"`` report.
+    Domination and subversion goals share a scan; cover scans alone.
+    ``checked`` counts scored candidates.  Once it exceeds ``budget``
+    every goal still open gets a ``"budget"`` report, and past ``cap``
+    (default :func:`default_cap`) a ``"cap"`` report.
     """
     if len({goal.kind == "cover" for goal in goals}) != 1:
         raise ValueError("cover goals cannot share a scan with other goals")
@@ -384,80 +384,84 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         raise ValueError("cap must be >= 0")
     cover = goals[0].kind == "cover"
     floor = min(goal.omega for goal in goals)
-    p = _packing(g, None, cap.bit_length())
-    low, high, two = p.low, p.high, p.two
-    support_scores: dict[int, int] = {}  # by occupied count fields
+    n, full, p = g.n, g.full_mask, _packing(g, None, cap.bit_length())
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
-    checked = 0
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
-                witness = next((p.unpack(x) for x, s in reversed(prev.items())
-                                if s > goal.omega), None)
+                last = max((x for x, s in prev.items() if s > goal.omega),
+                           default=None)
+                witness = None if last is None else p.unpack(last)
                 reports[i] = NumberReport(value, witness, status, checked)
         return reports
 
-    for k in range(cap + 1):
-        level: dict[int, int] = {}
-        for x in _upper_shadow(prev, p) if k else [0]:
-            checked += 1
-            if budget is not None and checked > budget:
-                return settle(k, "budget")
-            occupied = ((x & low) + low | x) & high
-            score = support_scores.get(occupied)
-            if score is None:
-                mask = p.support(x)
-                score = support_scores[occupied] = (
-                    int(mask != g.full_mask) if cover
-                    else max_undominated_component(g, mask))
-            if score > floor:
-                # Probe moves by lowest source, then adjacency order, until
-                # one leaves the kept set.
-                t = x & two
-                sources = ((t & low) + low | t) & high
-                row = legal.get(sources)
-                if row is None:
-                    row = legal[sources] = p.legal(sources)
-                for delta, _, _ in row:
-                    child = prev.get(x + delta, floor)
-                    if child < score:
-                        score = child
-                        if score <= floor:
-                            break
-            if score > floor:
-                level[x] = score
-        settle(k, "exact", max(level.values(), default=floor))
+    checked = 1  # level 0: the empty configuration, which has no moves
+    if budget is not None and budget < 1:
+        return settle(0, "budget")
+    score = 1 if cover else n  # g is one undominated component
+    level = {0: score} if score > floor else {}
+    # kept configurations by pattern; by occupied mask: the support score,
+    # the shadow test's rows for v = t and v > t, and the top t (0 if none)
+    groups, masks = {0: [0]}, {0: (score, (), (), 0)}
+    for k in range(1, cap + 2):
+        settle(k - 1, "exact", max(level.values(), default=floor))
         if not level:
             return reports
-        prev = level
+        prev, filed, level, groups = level, groups, {}, {}
+        if k > cap:
+            break
+        for pattern, group in filed.items():
+            occ, src = pattern & full, pattern >> n
+            _, own, wider, top = masks[occ]
+            for v in range(top, n):
+                bit = 1 << v
+                if occ & bit:  # v is the top and becomes a source
+                    occupied, sources, drop = occ, src | p.steps[v][0], own
+                else:  # v joins the occupied vertices
+                    occupied, sources, drop = occ | bit, src, wider
+                unit, base, members = p.weights[v], None, None
+                for c in group:
+                    x = c + unit
+                    for d in drop:
+                        if x - d not in prev:
+                            break
+                    else:
+                        checked += 1
+                        if budget is not None and checked > budget:
+                            return settle(k, "budget")
+                        if base is None:  # the first one of this pattern and v
+                            known = masks.get(occupied)
+                            if known is None:
+                                known = masks[occupied] = (
+                                    int(occupied != full) if cover else
+                                    max_undominated_component(g, occupied),
+                                    drop, drop + (unit,), v)
+                            base = known[0]
+                            if base > floor:
+                                row = legal.get(sources)
+                                if row is None:
+                                    row = legal[sources] = p.legal(sources)
+                        score = base
+                        if score > floor:
+                            # Probe moves by lowest source, then adjacency
+                            # order, until one leaves the kept set.
+                            for delta, _, _ in row:
+                                child = prev.get(x + delta, floor)
+                                if child < score:
+                                    score = child
+                                    if score <= floor:
+                                        break
+                            if score > floor:
+                                level[x] = score
+                                if members is None:
+                                    members = groups.setdefault(
+                                        occupied | sources << n, [])
+                                members.append(x)
     return settle(cap + 1, "cap")
-
-
-def _upper_shadow(prev: dict[int, int], p: _Packing) -> Iterator[int]:
-    """Configurations one pebble larger than ``prev`` whose every
-    one-pebble-smaller neighbour lies in ``prev``, in colex order.
-
-    ``p`` packs configurations without slack fields, so colex order is
-    integer order.  Each is built once, from the parent that lacks one
-    pebble on its highest occupied vertex v.  ``prev`` is sorted, so the
-    parents whose highest occupied vertex is at most v are those below
-    the unit of vertex v + 1, and a pebble added at v keeps their order.
-    """
-    for v, (unit, _, _) in enumerate(p.fields):
-        below, top = p.fields[:v], unit << p.w
-        for c in prev:
-            if c >= top:
-                break
-            x = c + unit
-            for unit_u, field, _ in below:
-                if x & field and x - unit_u not in prev:
-                    break
-            else:
-                yield x
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,
@@ -487,11 +491,7 @@ def lambda_stacking(g: Graph) -> NumberReport:
     (smallest index on ties).  Cross-checked against the brute-force
     oracle at desk scale by the test suite.
     """
-    best_v = 0
-    best = stacking_value(g, 0)
-    for v in range(1, g.n):
-        s = stacking_value(g, v)
-        if s > best:
-            best, best_v = s, v
+    best_v = max(range(g.n), key=lambda v: stacking_value(g, v))
+    best = stacking_value(g, best_v)
     witness = tuple(best - 1 if v == best_v else 0 for v in range(g.n))
     return NumberReport(best, witness, "exact", 0)

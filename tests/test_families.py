@@ -16,6 +16,7 @@ from dcpebble import (
     omega_formula,
     path,
     psi_upper_bound,
+    random_configuration,
     random_connected_graph,
     star,
     star_with_leaf_path,
@@ -288,3 +289,20 @@ def test_random_connected_graph_deterministic():
     b = random_connected_graph(7, random.Random(11), diameter_range=(3, 4))
     assert a == b
     assert 3 <= a.diameter <= 4
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_random_configuration_matches_randrange(seed):
+    # One randrange(n) a pebble, the same draws and the same generator
+    # state afterwards, powers of two (the most rejections) included.
+    for n in range(1, 41):
+        for size in (0, 1, 2, 5, 64, 3000):
+            rng, ref = random.Random(seed + n), random.Random(seed + n)
+            counts = [0] * n
+            for _ in range(size):
+                counts[ref.randrange(n)] += 1
+            assert random_configuration(n, size, rng) == tuple(counts)
+            assert rng.random() == ref.random()
+    assert random_configuration(0, 0, random.Random(seed)) == ()
+    with pytest.raises(ValueError):
+        random_configuration(0, 1, random.Random(seed))

@@ -475,8 +475,9 @@ def test_cli_refuses_graph6_order_before_building(capsys, tmp_path,
     for kind, (_, order) in list(families._FAMILIES.items()):
         monkeypatch.setitem(families._FAMILIES, kind, (unbuilt, order))
     refused = (64, "", "error: graph6 orders above 62 are not supported\n")
-    for argv in (["compute", "psi", "--graph", str(big)],
-                 ["family", "random", "--order", "63"],
+    assert run_cli(capsys, ["compute", "psi", "--graph", str(big)]) == refused
+    # No command reads an edge list above order 62 either.
+    for argv in (["family", "random", "--order", "63"],
                  ["family", "random", "--order", "300", "--seed", "3"],
                  ["family", "path", "100000000"],
                  ["family", "binary-tree", "40"],
@@ -484,7 +485,9 @@ def test_cli_refuses_graph6_order_before_building(capsys, tmp_path,
                  ["family", "complete", "100000"],
                  ["family", "multipartite", "40", "40"],
                  ["family", "binary-tree", "5"]):
-        assert run_cli(capsys, argv) == refused, argv
+        for fmt in ("g6", "edgelist"):
+            assert run_cli(capsys, argv + ["--format", fmt]) == refused, \
+                (argv, fmt)
 
 
 def test_cli_goal_needs_omega(capsys, tmp_path, star5_file):
@@ -512,10 +515,9 @@ def test_cli_family_and_formats(capsys):
     assert parse_edge_list(out) == star(5)
     code, out, _ = run_cli(capsys, ["family", "binary-tree", "4"])
     assert code == 0 and parse_graph6(out.strip()) == binary_tree(4)
-    # edge lists keep no order limit
-    code, out, _ = run_cli(capsys, ["family", "binary-tree", "9", "--format",
+    code, out, _ = run_cli(capsys, ["family", "binary-tree", "4", "--format",
                                     "edgelist"])
-    assert code == 0 and parse_edge_list(out).n == 1023
+    assert code == 0 and parse_edge_list(out) == binary_tree(4)
     for params, message in (
             (["binary-tree", "0"], "binary tree needs height >= 1"),
             (["binary-tree", "-5"], "binary tree needs height >= 1"),

@@ -500,6 +500,51 @@ def test_pebbling_values_match_single_goal_scans():
         pebbling_values(P4, (DOMINATION, FULL_COVER))
 
 
+# ---------------------------------------------------------------------------
+# scan outcomes pinned across refactors
+# ---------------------------------------------------------------------------
+
+PINNED_SCAN = (
+    1853, "f12662250d481e4fff5b4ffb812eedff083f10bc0dd0bd07a9d622f05cc1784f")
+
+
+def scan_outcomes():
+    """``(value, witness, status, checked)`` of pebbling_values on the
+    corpus up to order 6 for domination and omega = 1, 2 in one scan, and
+    up to order 5 for cover, unlimited, at budgets 7 and 40 and at cap 3;
+    then the shared scan of four named families and brute lambda of
+    tail-clique 2 3."""
+    def outcome(rep):
+        return rep.value, rep.witness, rep.status, rep.checked
+
+    shared = (DOMINATION, subversion(1), subversion(2))
+    limits = ((None, None), (None, 7), (None, 40), (3, None))
+    for n in range(1, 7):
+        for line, g in zip(connected_graph6_lines(n), connected_graphs(n)):
+            for goals in (shared, (FULL_COVER,)) if n <= 5 else (shared,):
+                for cap, budget in limits:
+                    reps = pebbling_values(g, goals, cap, budget)
+                    for goal, rep in zip(goals, reps):
+                        yield (f"{line} {goal.describe()} {cap} {budget} "
+                               f"{outcome(rep)}\n")
+    named = (("path 7", path(7)), ("binary-tree 2", binary_tree(2)),
+             ("tail-clique 2 4", tail_clique(2, 4)), ("cycle 9", cycle(9)))
+    for name, g in named:
+        for goal, rep in zip(shared, pebbling_values(g, shared)):
+            yield f"{name} {goal.describe()} {outcome(rep)}\n"
+    rep = pebbling_value(tail_clique(2, 3), FULL_COVER)
+    yield f"tail-clique 2 3 {FULL_COVER.describe()} {outcome(rep)}\n"
+
+
+def test_scan_outcomes_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for row in scan_outcomes():
+        digest.update(row.encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == PINNED_SCAN
+
+
 def test_psi_path8_exact_within_budget():
     rep = pebbling_value(path(8), DOMINATION, budget=1_000_000)
     assert _verdict(rep) == (73, (0,) * 7 + (72,), "exact")
