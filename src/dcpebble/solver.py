@@ -161,6 +161,9 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
 
 # Connected sets counted before a subversion goal is left without a bound.
 _MAX_TARGET_SETS = 1024
+# Work on exact needs per graph and goal, in requirement sets visited (see
+# _targets); past it a target keeps its greedy need.
+_MAX_HIT_WORK = 50_000
 
 
 def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
@@ -169,14 +172,22 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
     Weight function lemma: w(v) <= 2 w(u) on every edge, so a move never
     raises sum_v c_v w(v), and a configuration whose sum is below what
     every goal configuration has is unsolvable.  A goal configuration
-    holds a pebble in every requirement set: the closed neighbourhood of
-    each connected (omega + 1)-set, which would otherwise be undominated
-    (only the inclusion-minimal ones are kept; domination has omega 0),
-    or {v} for every vertex v under cover.  Its sum is therefore at least
-    the lightest weights of any pairwise disjoint requirement sets added
-    up; the need is that sum for the sets taken greedily, heaviest first.
-    Under cover the sets are the singletons, so the need is the sum of
-    all weights.
+    weighs at least its support, a vertex set that meets the goal, so the
+    need is the least weight sum_{v in S} w(v) of a vertex set S that
+    meets the goal.  A checker re-derives it as that minimum over the
+    goal-meeting vertex sets, and a greedy need (below) is at most that
+    minimum.  The goal-meeting sets are the sets S that meet every
+    requirement set: the closed neighbourhood of each connected
+    (omega + 1)-set, which would otherwise be undominated (only the
+    inclusion-minimal ones are kept; domination has omega 0), or {v} for
+    every vertex v under cover, where the need is the sum of all weights.
+
+    Otherwise a branch and bound finds the need (see ``need`` below).
+    Its lower bound is the greedy packing: the lightest weights of
+    pairwise disjoint requirement sets, taken heaviest first, added up,
+    which no goal-meeting set undercuts.  The search gets
+    ``_MAX_HIT_WORK`` per graph and goal; a target reached after that is
+    spent keeps its greedy need, which is sound but may be lower.
 
     The targets are the requirement sets; every far side {v : dist(a, v)
     >= r} of a vertex a, for r = 1 .. diam; and the union of any two
@@ -228,26 +239,101 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
         for b in required[i + 1:]:
             if not b & near:
                 targets[a | b] = None
+
+    # Each requirement set as (mask, the bit of its index, its vertices);
+    # hits[v] has the bits of the sets holding v.
+    every, indexed, hits = (1 << len(required)) - 1, [], [0] * n
+    for i, m in enumerate(required):
+        vs = [v for v in range(n) if m >> v & 1]
+        indexed.append((m, 1 << i, vs))
+        for v in vs:
+            hits[v] |= 1 << i
+    work = _MAX_HIT_WORK
+
+    def need(row: list[int]) -> int:
+        """Least weight of a vertex set meeting every requirement set, or
+        the greedy packing once the work limit is spent.
+
+        The packing takes the sets heaviest first (by lightest weight, then
+        index) and adds the lightest weight of each one disjoint from those
+        taken.  A greedy hitting set, where each unmet set in that order
+        takes its vertex meeting the most unmet sets per weight, is the
+        first upper bound.  A search node (weight spent, unmet sets,
+        allowed vertices) is bounded below by the spent weight plus the
+        packing of its unmet sets on the allowed vertices, in the same
+        order: at the root, the greedy need.  It branches on the unmet set
+        with the fewest allowed vertices, lightest vertex first, each later
+        branch barring the vertices taken before it.  The upper bound and
+        each node cost ``len(required)`` of the work.  The search ends when
+        the upper bound meets the greedy need.
+        """
+        nonlocal work
+        weigh = row.__getitem__
+        order = sorted([(min(map(weigh, vs)), m, bit, vs)
+                        for m, bit, vs in indexed], key=lambda s: -s[0])
+        greedy = used = 0
+        for light, m, _, _ in order:
+            if not m & used:
+                greedy += light
+                used |= m
+        if work <= 0:
+            return greedy
+        work -= len(order)
+        best, unmet = 0, every
+        for _, _, bit, vs in order:
+            if unmet & bit:
+                v = max(vs, key=lambda v: (hits[v] & unmet).bit_count()
+                        / row[v])
+                best += row[v]
+                unmet &= ~hits[v]
+        stack = [(0, every, g.full_mask)]
+        while stack and best > greedy:
+            if work <= 0:
+                return greedy
+            work -= len(order)
+            spent, unmet, allowed = stack.pop()
+            bound, used, fewest, branch = spent, 0, n + 1, ()
+            for light, m, bit, vs in order:
+                if unmet & bit:
+                    s = m & allowed
+                    if s != m:
+                        vs = [v for v in vs if allowed >> v & 1]
+                        if not vs:
+                            bound = best  # this set can no longer be met
+                            break
+                        light = min(map(weigh, vs))
+                    if len(vs) < fewest:
+                        fewest, branch = len(vs), vs
+                    if not s & used:
+                        used |= s
+                        bound += light
+                        if bound >= best:
+                            break
+            if bound >= best:
+                continue
+            if not unmet:
+                best = spent
+                continue
+            children, barred = [], 0
+            for v in sorted(branch, key=weigh):
+                children.append((spent + row[v], unmet & ~hits[v],
+                                 allowed & ~barred))
+                barred |= 1 << v
+            stack.extend(reversed(children))
+        return best
+
     built = []
     for mask in targets:
-        # Ball by ball from T, so the sets whose farthest vertex is
-        # nearest (the heaviest) come first, each weighing 2^(diam - d).
-        row, need, used, inner, left = [0] * n, 0, 0, 0, required
+        # Ball by ball from T: a vertex at distance d weighs 2^(diam - d).
+        row, inner = [0] * n, 0
         for d, near in enumerate(balls(mask, top)):
             weight, ring = 1 << top - d, near & ~inner
             while ring:
                 low = ring & -ring
                 row[low.bit_length() - 1] = weight
                 ring ^= low
-            rest = []
-            for m in left:
-                if m & near != m:
-                    rest.append(m)
-                elif not m & used:
-                    need += weight
-                    used |= m
-            inner, left = near, rest
-        built.append((row, need))
+            inner = near
+        built.append((row, sum(row) if goal.kind == "cover" else need(row)))
     return built
 
 
@@ -258,10 +344,15 @@ class _Packing:
     is ``bits`` bits wide (at least 1).  Above the counts, each target of
     ``goal`` (see :func:`_targets`; none for ``None``) has an s-bit field
     holding its slack + 2^(s-1), where the slack is the weight sum minus
-    the need.  A weight is at most 2^diam and a need at most n*2^diam, so
-    slacks lie at or above -n*2^diam and below 2^bits*2^diam, no field
-    over- or underflows, and the bounds prove ``x`` unsolvable iff
-    ``x & guard != guard``.  A pebble on v adds ``weights[v]``.
+    the need: the least weight of a vertex set that meets the goal, found
+    by branch and bound, or, where the search's work limit ran out, the
+    greedy packing of disjoint requirement sets that bounds it below; a
+    checker re-derives the least weight over the goal-meeting vertex sets
+    and finds the need at or below it.  A weight is at most 2^diam and a
+    need at most n*2^diam, so slacks lie at or above -n*2^diam and below
+    2^bits*2^diam, no field over- or underflows, and the bounds prove
+    ``x`` unsolvable iff ``x & guard != guard``.  A pebble on v adds
+    ``weights[v]``.
 
     The top bit of every non-zero count field is set in ``occupied =
     ((x & low) + low | x) & high``.  The same carry on ``t = x & two``,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dcpebble import (
     DOMINATION,
     FULL_COVER,
+    FamilySpec,
     binary_tree,
     build_graph,
     complete,
@@ -15,6 +16,7 @@ from dcpebble import (
     connected_graphs,
     cycle,
     emit_graph6,
+    generate,
     is_solvable,
     lambda_stacking,
     path,
@@ -28,6 +30,8 @@ from dcpebble import (
     verify_certificate,
     wheel,
 )
+from dcpebble import solver
+from dcpebble.graphs import dominated_mask
 from dcpebble.pebbling import satisfies_mask
 from dcpebble.solver import _packing, _targets, configurations, default_cap
 
@@ -101,9 +105,9 @@ def test_budget_reports_unknown_not_false():
     assert res.solvable is False and res.states_explored > 2
     res = is_solvable(path(6), (4, 0, 0, 0, 0, 1), DOMINATION, budget=2)
     assert res.unknown and res.solvable is None
-    # a solvable 176-pebble stack whose search outgrows the budget is
-    # unknown, not a crash and not "unsolvable"
-    res = is_solvable(cycle(13), (176,) + (0,) * 12, DOMINATION,
+    # a 250-pebble stack whose search outgrows the budget is unknown, not a
+    # crash and not "unsolvable"
+    res = is_solvable(cycle(15), (250,) + (0,) * 14, DOMINATION,
                       budget=100_000)
     assert res.unknown and res.solvable is None
     assert res.states_explored == 100_000
@@ -238,7 +242,7 @@ def test_search_matches_unpruned_reference(goal):
 # ---------------------------------------------------------------------------
 
 PINNED_ORACLE = (
-    78594, "cf87e0d6b8eaf7bd0a9d07ef8d16cff42281ac54765d3b2d42027684ba55b9de")
+    78594, "3402b7a1cbdd40b6722e49c6c36badb4d1627aa3e681706f4b15bf8a86d3bce7")
 
 
 def oracle_outcomes():
@@ -325,6 +329,78 @@ def test_targets_sound(goal):
                 for s in meets:
                     weight = sum(x for v, x in enumerate(row) if s >> v & 1)
                     assert weight >= need, (g, row, need, s)
+
+
+# The oracle graphs of the perfbench solve workload up to 13 vertices.
+SOLVE_ORACLE_FAMILIES = (
+    ("path", (7,)), ("path", (11,)), ("cycle", (9,)), ("cycle", (13,)),
+    ("binary-tree", (2,)), ("tail-clique", (2, 4)), ("tail-clique", (3, 3)),
+    ("apex-pendant-clique", (9, 1)), ("star-leaf-path", (10, 2)),
+    ("wheel", (8,)), ("multipartite", (2, 3, 4)),
+)
+NEED_GOALS = (DOMINATION, subversion(1), subversion(2), FULL_COVER)
+
+
+def need_graphs():
+    for n in range(1, 7):
+        yield from connected_graphs(n)
+    for kind, params in SOLVE_ORACLE_FAMILIES:
+        yield generate(FamilySpec(kind, params))
+
+
+def weigh(row, s):
+    return sum(x for v, x in enumerate(row) if s >> v & 1)
+
+
+@pytest.mark.parametrize("goal", NEED_GOALS, ids=lambda goal: goal.describe())
+def test_targets_need_least_goal_meeting_weight(goal):
+    # A target's need is the least weight of any goal-meeting vertex set;
+    # weights are positive, so an inclusion-minimal one attains it.
+    for g in need_graphs():
+        meets = {s for s in range(1 << g.n) if satisfies_mask(g, s, goal)}
+        minimal = [s for s in meets
+                   if all(s & ~(1 << v) not in meets for v in range(g.n)
+                          if s >> v & 1)]
+        for row, need in _targets(g, goal):
+            assert need == min(weigh(row, s) for s in minimal), (g, row)
+
+
+def greedy_need(g, goal, row):
+    """The lightest weights of pairwise disjoint requirement sets, taken
+    heaviest first: the inclusion-minimal closed neighbourhoods of the
+    connected (omega + 1)-sets, or the singletons under cover, in order of
+    size, then mask."""
+    if goal.kind == "cover":
+        return sum(row)
+
+    def connected(c):
+        seen = c & -c
+        while True:
+            grown = seen | dominated_mask(g, seen) & c
+            if grown == seen:
+                return seen == c
+            seen = grown
+
+    sets = {dominated_mask(g, c) for c in range(1 << g.n)
+            if c.bit_count() == goal.omega + 1 and connected(c)}
+    required = sorted((m for m in sets
+                       if not any(o != m and o & m == o for o in sets)),
+                      key=lambda m: (m.bit_count(), m))
+    need = used = 0
+    for light, m in sorted(((min(x for v, x in enumerate(row) if m >> v & 1),
+                             m) for m in required),
+                           key=lambda pair: -pair[0]):
+        if not m & used:
+            need, used = need + light, used | m
+    return need
+
+
+@pytest.mark.parametrize("goal", NEED_GOALS, ids=lambda goal: goal.describe())
+def test_targets_keep_greedy_need_past_work_limit(goal, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_HIT_WORK", 0)
+    for g in need_graphs():
+        for row, need in _targets(g, goal):
+            assert need == greedy_need(g, goal, row), (g, row)
 
 
 def test_goal_with_too_many_connected_sets_is_searched_unpruned():
