@@ -318,6 +318,9 @@ FAMILY_KINDS = tuple(sorted(_FAMILIES))
 def _apply(spec: FamilySpec, column: int):
     if spec.kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {spec.kind!r}")
+    if any(type(x) is not int for x in spec.params):  # bool is refused too
+        raise ValueError(
+            f"family {spec.kind!r} parameters must be ints: {spec.params}")
     try:
         return _FAMILIES[spec.kind][column](*spec.params)
     except TypeError as exc:

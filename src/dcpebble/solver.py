@@ -467,6 +467,8 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     every goal still open gets a ``"budget"`` report, and past ``cap``
     (default :func:`default_cap`) a ``"cap"`` report.
     """
+    if not goals:
+        raise ValueError("pebbling_values needs at least one goal")
     if len({goal.kind == "cover" for goal in goals}) != 1:
         raise ValueError("cover goals cannot share a scan with other goals")
     if cap is None:

@@ -264,9 +264,14 @@ def test_family_order_is_the_generated_order():
     for spec, message in ((FamilySpec("moebius", (5,)), "unknown family"),
                           (FamilySpec("path", ()), "wrong parameter count"),
                           (FamilySpec("tail-clique", (2,)),
-                           "wrong parameter count")):
+                           "wrong parameter count"),
+                          (FamilySpec("path", ("3",)), "must be ints"),
+                          (FamilySpec("path", (2.5,)), "must be ints"),
+                          (FamilySpec("star", (True,)), "must be ints")):
         with pytest.raises(ValueError, match=message):
             spec.order
+        with pytest.raises(ValueError, match=message):
+            generate(spec)
 
 
 def test_family_order_builds_nothing_that_grows():

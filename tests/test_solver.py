@@ -572,8 +572,10 @@ def test_pebbling_values_match_single_goal_scans():
                         assert rep.status == "budget"
                         assert rep.checked == budget + 1
                         assert rep.value <= exact.value
-    with pytest.raises(ValueError):  # cover scans alone
+    with pytest.raises(ValueError, match="cannot share"):  # cover scans alone
         pebbling_values(P4, (DOMINATION, FULL_COVER))
+    with pytest.raises(ValueError, match="at least one goal"):
+        pebbling_values(P4, ())
 
 
 # ---------------------------------------------------------------------------
