@@ -19,7 +19,9 @@ import sys
 from itertools import combinations, permutations
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = SRC / "dcpebble" / "data"
+sys.path.insert(0, str(SRC))
 
 from dcpebble.fixtures import CONNECTED_COUNTS  # noqa: E402
 from dcpebble.graphs import build_graph, emit_graph6  # noqa: E402
@@ -42,9 +44,9 @@ def extend(n: int, smaller: list[int]) -> list[int]:
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
-def main() -> None:
-    data_dir = Path(__file__).resolve().parent.parent / "src" / "dcpebble" / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
+def corpus():
+    """Yield (n, the text of connected_{n}.g6) for every order n in
+    ``CONNECTED_COUNTS``, ascending."""
     masks = [0]  # order 1: one vertex, no edges
     for n in sorted(CONNECTED_COUNTS):
         if n > 1:
@@ -57,8 +59,14 @@ def main() -> None:
         for mask in masks:
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             lines.append(emit_graph6(build_graph(n, edges)))
-        (data_dir / f"connected_{n}.g6").write_text("\n".join(lines) + "\n")
-        print(f"n={n}: {len(masks)} graphs")
+        yield n, "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    DATA_DIR.mkdir(parents=True, exist_ok=True)
+    for n, text in corpus():
+        (DATA_DIR / f"connected_{n}.g6").write_text(text)
+        print(f"n={n}: {CONNECTED_COUNTS[n]} graphs")
 
 
 if __name__ == "__main__":

@@ -181,6 +181,8 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
     (omega + 1)-set, which would otherwise be undominated (only the
     inclusion-minimal ones are kept; domination has omega 0), or {v} for
     every vertex v under cover, where the need is the sum of all weights.
+    With no connected (omega + 1)-set, every support meets the goal and
+    there is no target.
 
     Otherwise a branch and bound finds the need (see ``need`` below).
     Its lower bound is the greedy packing: the lightest weights of
@@ -206,7 +208,7 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
                     low = rim & -rim
                     grown.add(s | low)
                     rim ^= low
-            if len(grown) > _MAX_TARGET_SETS:
+            if not grown or len(grown) > _MAX_TARGET_SETS:
                 return []
             sets = grown
         required = []
@@ -214,8 +216,6 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
                            key=lambda m: (m.bit_count(), m)):
             if all(m & mask != m for m in required):
                 required.append(mask)
-    if not required:
-        return []
 
     def balls(mask: int, radius: int) -> list[int]:
         """The vertices within distance 0, 1, .., ``radius`` of ``mask``;
@@ -262,10 +262,12 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
         allowed vertices) is bounded below by the spent weight plus the
         packing of its unmet sets on the allowed vertices, in the same
         order: at the root, the greedy need.  It branches on the unmet set
-        with the fewest allowed vertices, lightest vertex first, each later
-        branch barring the vertices taken before it.  The upper bound and
-        each node cost ``len(required)`` of the work.  The search ends when
-        the upper bound meets the greedy need.
+        with the fewest allowed vertices, b of them, lightest vertex first,
+        each later branch barring the vertices taken before it, so in the
+        i-th child every unmet set keeps b - i + 1 >= 1 allowed vertices
+        and none runs out.  The upper bound and each node cost
+        ``len(required)`` of the work.  The search ends when the upper
+        bound meets the greedy need.
         """
         nonlocal work
         weigh = row.__getitem__
@@ -298,9 +300,6 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
                     s = m & allowed
                     if s != m:
                         vs = [v for v in vs if allowed >> v & 1]
-                        if not vs:
-                            bound = best  # this set can no longer be met
-                            break
                         light = min(map(weigh, vs))
                     if len(vs) < fewest:
                         fewest, branch = len(vs), vs

@@ -1,6 +1,8 @@
-"""The README exit-code contract, run as real processes: a case fails on a
-wrong exit code, a traceback, a missing stdout line or other stderr."""
+"""The README exit-code contract, the demos and the benchmark self-test,
+run as real processes: a case fails on a wrong exit code, a traceback, a
+missing stdout line or other stderr.  Also the README quick start's values."""
 
+import ast
 import os
 import re
 import resource
@@ -16,6 +18,7 @@ from dcpebble import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DCPEBBLE = (sys.executable, "-m", "dcpebble")
+PYTHON = (sys.executable,)
 CAP = 1_000_000 * 1024  # address space in bytes, as `ulimit -v 1000000`
 
 
@@ -64,9 +67,9 @@ def check(case: Case, tmp_path: Path, command=DCPEBBLE) -> bytes:
     return out
 
 
-def oracle(kind: str, n: int, pebbles: int, *budget: str, **expect) -> Case:
+def oracle(kind: str, n: int, pebbles: int, *options: str, **expect) -> Case:
     config = ",".join([str(pebbles)] + ["0"] * (n - 1))
-    return Case(("solve", "oracle", "--config", config, *budget),
+    return Case(("solve", "oracle", "--config", config, *options),
                 stdin=("family", kind, str(n)), **expect)
 
 
@@ -103,12 +106,29 @@ CASES = {
         stdout=("verdict: unknown (state budget exhausted)",)),
     "oracle-path-62": oracle("path", 62, 62, "--budget", "1000", timeout=10.0,
                              codes=(cli.EXIT_OK, cli.EXIT_BUDGET)),
+    "oracle-omega-past-order": oracle(
+        "path", 4, 3, "--goal", "subversion", "--omega",
+        "99999999999999999999", codes=(cli.EXIT_OK,), timeout=10.0,
+        stdout=("verdict: solvable (verified)",)),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_cli_contract(name, tmp_path):
     check(CASES[name], tmp_path)
+
+
+# The repo's scripts under the same rules, each with the lines its stdout
+# must hold.
+SCRIPTS = {**{f"demos/{path.name}": () for path in
+              sorted((ROOT / "demos").glob("*.py"))},
+           "perfbench/selftest.py": ("selftest passed",)}
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_runs(script, tmp_path):
+    check(Case((str(ROOT / script),), (cli.EXIT_OK,), stdout=SCRIPTS[script]),
+          tmp_path, PYTHON)
 
 
 def test_readme_exit_codes_are_the_cli_constants():
@@ -118,8 +138,23 @@ def test_readme_exit_codes_are_the_cli_constants():
         value for name, value in vars(cli).items() if name.startswith("EXIT_")}
 
 
+def test_readme_quick_start_values():
+    # Each bare expression's repr is its trailing comment, up to a colon.
+    block = (ROOT / "README.md").read_text().split("```python\n")[1]
+    block = block.split("```")[0]
+    lines, scope, got, documented = block.splitlines(), {}, [], []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            got.append(repr(eval(compile(ast.Expression(node.value), "README",
+                                         "eval"), scope)))
+            comment = lines[node.end_lineno - 1].split("# ", 1)[1]
+            documented.append(comment.split(":")[0])
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert got == documented and len(got) == 6
+
+
 # The helper's own cases: each command breaks one rule that MEETS keeps.
-PYTHON = (sys.executable,)
 MEETS = Case(("-c", "print('line')"), (cli.EXIT_OK,), stdout=("line",))
 
 

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import pytest
 
 from dcpebble import (
@@ -135,6 +138,17 @@ def test_graph6_roundtrip_all_fixture_graphs():
             g = parse_graph6(line)
             assert emit_graph6(g) == line
             assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_shipped_corpus_equals_its_generator():
+    # Compared in memory, byte for byte: the test writes nothing.
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts"
+                                / "generate_small_graph_fixtures.py"))
+    texts = dict(script["corpus"]())
+    assert list(texts) == sorted(CONNECTED_COUNTS)
+    for n, text in texts.items():
+        shipped = script["DATA_DIR"] / f"connected_{n}.g6"
+        assert shipped.read_bytes() == text.encode(), n
 
 
 def test_fixture_counts():

@@ -403,6 +403,33 @@ def test_targets_keep_greedy_need_past_work_limit(goal, monkeypatch):
             assert need == greedy_need(g, goal, row), (g, row)
 
 
+@pytest.mark.parametrize("goal", (DOMINATION, subversion(1)),
+                         ids=lambda goal: goal.describe())
+def test_targets_keep_greedy_need_when_work_runs_out_mid_search(
+        goal, monkeypatch):
+    # On cycle(17) the default work limit runs out inside one target's
+    # search, and every later target keeps its greedy need too.
+    g = cycle(17)
+    needs = [need for _, need in _targets(g, goal)]
+    monkeypatch.setattr(solver, "_MAX_HIT_WORK", 10**12)
+    fell_back = 0
+    for need, (row, least) in zip(needs, _targets(g, goal), strict=True):
+        if need != least:
+            assert need == greedy_need(g, goal, row) < least, (row, need)
+            fell_back += 1
+    assert fell_back
+
+
+def test_omega_past_the_order_has_no_target():
+    # No connected (omega + 1)-set exists, so every configuration meets the
+    # goal: nothing to bound, however large omega is.
+    assert _targets(P4, subversion(3))
+    assert _targets(P4, subversion(4)) == []
+    res = is_solvable(P4, (3, 0, 0, 0), subversion(10**20))
+    assert res.solvable and res.certificate.moves == ()
+    assert res.states_explored == 0
+
+
 def test_goal_with_too_many_connected_sets_is_searched_unpruned():
     # complete(16) has C(16, 8) connected 8-sets: subversion(7) gets no
     # bound, and the search still decides
