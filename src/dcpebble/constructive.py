@@ -266,7 +266,9 @@ class SolverState:
     2^(d-2)+1 pebbles (enough to ship a pebble anywhere within distance
     d-2 and stay covered), ``pending`` the uncovered vertices still under
     consideration and ``retired`` the uncovered vertices already dominated
-    and parked at full distance d from every heavy vertex.
+    and parked at full distance d from every heavy vertex.  ``verified``
+    is the replay point an earlier check left, if any: the moves it
+    replayed and the counts they reached.
     """
 
     counts: Configuration
@@ -275,6 +277,7 @@ class SolverState:
     pending: frozenset[int]
     retired: frozenset[int]
     step: int
+    verified: tuple[tuple[PebblingMove, ...], Configuration] | None = None
 
 
 def check_solver_state(g: Graph, state: SolverState, initial: Configuration,
@@ -295,7 +298,11 @@ def check_solver_state(g: Graph, state: SolverState, initial: Configuration,
     7. every retired vertex is dominated;
     8. the move log replays legally (every vertex in range, endpoints
        adjacent, two pebbles at each source) from the initial
-       configuration to counts.
+       configuration to counts.  From a replay point (``state.verified``)
+       only the moves after it are replayed, from the counts it holds,
+       once the log is shown to begin with its moves unchanged; so the
+       solver, which passes each check's point to the next, replays each
+       move once.
     """
     d = g.diameter
     clump = 1 << (d - 2)
@@ -329,8 +336,10 @@ def check_solver_state(g: Graph, state: SolverState, initial: Configuration,
     dominated = dominated_mask(g, support_mask(counts))
     if any(not dominated >> v & 1 for v in state.retired):
         failed.append("7 (retired dominated)")
-    replay = list(initial)
-    if len(replay) != g.n or replay_moves(g, replay, moves) is not None \
+    prefix, start = state.verified or ((), initial)
+    replay, done = list(start), len(prefix)
+    if len(replay) != g.n or tuple(moves[:done]) != tuple(prefix) \
+            or replay_moves(g, replay, moves[done:]) is not None \
             or tuple(replay) != counts:
         failed.append("8 (reachability by replay)")
 
@@ -390,15 +399,17 @@ def solve_diameter_d(g: Graph, c: Sequence[int],
     retired: set[int] = set()
     initial_pending = len(pending)
     step = 0
+    verified = None  # the moves the last check replayed, and their counts
 
     while True:
         heavy = [v for v in range(g.n) if counts[v] > clump]
         if check_invariants:
             covered = frozenset(v for v in range(g.n) if counts[v] > 0)
-            check_solver_state(
-                g, SolverState(tuple(counts), covered, frozenset(heavy),
-                               frozenset(pending), frozenset(retired), step),
-                initial, moves, initial_pending)
+            state = SolverState(tuple(counts), covered, frozenset(heavy),
+                                frozenset(pending), frozenset(retired), step,
+                                verified)
+            check_solver_state(g, state, initial, moves, initial_pending)
+            verified = (tuple(moves), state.counts)
         dominated = dominated_mask(g, support_mask(counts))
         undominated = [w for w in sorted(pending) if not dominated >> w & 1]
         if not undominated:

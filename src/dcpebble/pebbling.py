@@ -195,17 +195,16 @@ class Certificate:
 
     def __post_init__(self) -> None:
         initial = tuple(self.initial)
-        moves = []
-        integral = True
-        for a, b in self.moves:
-            moves.append((a, b))
-            if type(a) is not int or type(b) is not int:
-                integral = False
+        # Every move is unpacked as a pair before any vertex is type-checked;
+        # a move that is already a tuple is kept as it is.
+        moves = tuple([m if type(m) is tuple else (a, b)
+                       for m in self.moves for a, b in (m,)])
         not_int = "certificate counts and vertices must be integers"
-        if not integral:
-            raise PebblingError(not_int)
+        for a, b in moves:
+            if type(a) is not int or type(b) is not int:
+                raise PebblingError(not_int)
         object.__setattr__(self, "initial", _check_counts(initial, not_int))
-        object.__setattr__(self, "moves", tuple(moves))
+        object.__setattr__(self, "moves", moves)
 
     def replay(self, g: Graph) -> Configuration:
         """Final configuration after all moves; raises PebblingError on a
@@ -241,10 +240,11 @@ def replay_moves(g: Graph, counts: list[int],
     move (``counts`` as it stood before it).  The solvers move pebbles with
     code of their own, so a checker never shares the rule it checks.
     """
+    n, adj = g.n, g.adj_sets
     for i, (src, dst) in enumerate(moves):
-        if not (0 <= src < g.n and 0 <= dst < g.n):
+        if not (0 <= src < n and 0 <= dst < n):
             return i, f"move {src}->{dst}: vertex out of range"
-        if not g.is_edge(src, dst):
+        if dst not in adj[src]:
             return i, f"move {src}->{dst}: endpoints not adjacent"
         if counts[src] < 2:
             return i, (f"move {src}->{dst}: needs 2 pebbles at source, "

@@ -17,6 +17,7 @@ from .pebbling import (
     Certificate,
     Configuration,
     Goal,
+    PebblingMove,
     check_configuration,
     satisfies_mask,
 )
@@ -101,14 +102,17 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     configurations.  Each configuration is one int that also carries the
     slack of every weight bound (see :class:`_Packing` and
     :func:`_targets`), so a move is one addition; the visited set keeps
-    only the count fields, as the slacks follow from the counts.  A
+    only the count fields, as the slacks follow from the counts, and the
+    goal test and the legal steps read those fields alone.  A
     configuration's legal steps come from the packing's move
     table, keyed by which sources hold two pebbles: one dict lookup per
-    expanded configuration once its pattern has been seen.  Moves are
+    expanded configuration once its pattern has been seen.  A step is a
+    pair ``(delta, (u, v))`` whose move tuple the table builds once, so
+    the path's moves share it and the search builds no move.  Moves are
     tried by lowest source, then adjacency order, and the search descends
     into the first unvisited child, so the certificate is deterministic.
-    A child whose weight bound proves it unsolvable is stored as visited
-    but not expanded: every configuration reachable from it fails the
+    A child whose weight bound proves it unsolvable is stored as visited,
+    with no goal test, and not expanded: every configuration reachable from it fails the
     bound too, and every goal configuration meets it, so pruning changes
     neither the verdict nor the first solution found.  ``states_explored``
     counts the stored configurations, pruned ones included, and the
@@ -122,36 +126,39 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     met: dict[int, bool] = {}  # goal verdict by occupied count fields
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
     visited: set[int] = set()  # count fields: the slacks follow from them
-    moves: list[tuple[int, int]] = []  # the path's moves, dummy first
+    moves: list[PebblingMove] = []  # the path's moves, dummy first
     # The root enters from 0 by a dummy step and is handled like any child.
-    stack = [(0, iter(((p.pack(initial), -1, -1),)))]
+    stack = [(0, iter(((p.pack(initial), (-1, -1)),)))]
     while stack:
         parent, steps = stack[-1]
-        for delta, u, v in steps:
+        for delta, move in steps:
             x = parent + delta
             key = x & counts
             if key in visited:
                 continue
-            live = x & guard == guard
-            if live:
-                occupied = ((x & low) + low | x) & high
-                if occupied not in met:
-                    met[occupied] = satisfies_mask(g, p.support(x), goal)
-                if met[occupied]:
-                    solution = Certificate(initial, (*moves, (u, v))[1:])
-                    return SolveResult(True, solution, len(visited))
+            if x & guard != guard:  # pruned: stored, never expanded
+                if len(visited) >= budget:
+                    return SolveResult(None, None, len(visited))
+                visited.add(key)
+                continue
+            occupied = ((key & low) + low | key) & high
+            meets = met.get(occupied)
+            if meets is None:
+                meets = met[occupied] = satisfies_mask(g, p.support(key), goal)
+            if meets:
+                solution = Certificate(initial, (*moves, move)[1:])
+                return SolveResult(True, solution, len(visited))
             if len(visited) >= budget:
                 return SolveResult(None, None, len(visited))
             visited.add(key)
-            if live:
-                moves.append((u, v))
-                t = x & two
-                sources = ((t & low) + low | t) & high
-                row = legal.get(sources)
-                if row is None:
-                    row = legal[sources] = p.legal(sources)
-                stack.append((x, iter(row)))
-                break
+            moves.append(move)
+            t = key & two
+            sources = ((t & low) + low | t) & high
+            row = legal.get(sources)
+            if row is None:
+                row = legal[sources] = p.legal(sources)
+            stack.append((x, iter(row)))
+            break
         else:
             stack.pop()
             if moves:
@@ -359,8 +366,9 @@ class _Packing:
     t) & high``: the top bit of every field holding two pebbles or more,
     so of every vertex that can fire (none when fields are 1 bit wide, as
     ``two`` is then 0).  The move table ``steps`` holds, for each vertex
-    u, the top bit of u's field and a step ``(delta, u, v)`` for each v in
-    ``g.adj[u]``, where ``delta`` is what the move u -> v adds to ``x``.
+    u, the top bit of u's field and a step ``(delta, (u, v))`` for each v
+    in ``g.adj[u]``, where ``delta`` is what the move u -> v adds to
+    ``x``; the move tuple ``(u, v)`` is built once, here.
     :meth:`legal` lists the steps of one ``sources`` pattern; callers
     keep the tuples it builds in a dict by pattern, so a configuration
     finds its legal moves with one lookup.
@@ -385,14 +393,14 @@ class _Packing:
         self.low = self.high - ones
         self.two = ones * ((1 << w) - 2)
         self.steps = tuple(
-            (unit << w - 1, tuple((weights[v] - 2 * weights[u], u, v)
+            (unit << w - 1, tuple((weights[v] - 2 * weights[u], (u, v))
                                   for v in g.adj[u]))
             for u, (unit, _, _) in enumerate(self.fields))
 
-    def legal(self, sources: int) -> tuple[tuple[int, int, int], ...]:
+    def legal(self, sources: int) -> tuple[tuple[int, PebblingMove], ...]:
         """The steps of every source whose top count bit is in ``sources``,
         by lowest source, then adjacency."""
-        legal: tuple[tuple[int, int, int], ...] = ()
+        legal: tuple[tuple[int, PebblingMove], ...] = ()
         for top, row in self.steps:
             if sources & top:
                 legal += row
@@ -407,7 +415,7 @@ class _Packing:
         return mask
 
     def pack(self, c: Sequence[int]) -> int:
-        return self.base + sum(k * x for k, x in zip(c, self.weights))
+        return self.base + sum(k * x for k, x in zip(c, self.weights) if k)
 
     def unpack(self, x: int) -> Configuration:
         return tuple((x & field) // unit for unit, field, _ in self.fields)
@@ -541,7 +549,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                         if score > floor:
                             # Probe moves by lowest source, then adjacency
                             # order, until one leaves the kept set.
-                            for delta, _, _ in row:
+                            for delta, _ in row:
                                 child = prev.get(x + delta, floor)
                                 if child < score:
                                     score = child
@@ -583,7 +591,8 @@ def lambda_stacking(g: Graph) -> NumberReport:
     (smallest index on ties).  Cross-checked against the brute-force
     oracle at desk scale by the test suite.
     """
-    best_v = max(range(g.n), key=lambda v: stacking_value(g, v))
-    best = stacking_value(g, best_v)
+    values = [stacking_value(g, v) for v in range(g.n)]
+    best = max(values)
+    best_v = values.index(best)
     witness = tuple(best - 1 if v == best_v else 0 for v in range(g.n))
     return NumberReport(best, witness, "exact", 0)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,7 @@ from dcpebble import (
     verify_certificate,
 )
 from dcpebble import constructive
+from dcpebble.pebbling import replay_moves
 from dcpebble.solver import configurations
 
 
@@ -286,6 +288,79 @@ def test_state_checker_flags_corruption():
                          (start[:3], ((3, 2),))):
         msg = failing(state, initial, log, 3, P4)
         assert "8 (" in msg, (initial, log)
+
+
+def stacked_threshold_configurations(g, count, rng):
+    """``count`` configurations of the diameter-d threshold size, each
+    dropped uniformly on one to three seeded vertices."""
+    threshold = (1 << (g.diameter - 2)) * (g.n - 2) + 1
+    for _ in range(count):
+        counts = [0] * g.n
+        stacks = rng.sample(range(g.n), rng.randint(1, 3))
+        for _ in range(threshold):
+            counts[rng.choice(stacks)] += 1
+        yield tuple(counts)
+
+
+def test_invariant_replay_is_linear(monkeypatch):
+    # Invariant 8 replays each move of a run once: a check replays only
+    # the moves after the point the check before it verified.  Replaying
+    # the whole log at every check took 48,118 and 24,559 moves here.
+    replayed = []
+
+    def counting(g, counts, moves):
+        moves = list(moves)
+        replayed.append(len(moves))
+        return replay_moves(g, counts, moves)
+
+    monkeypatch.setattr(constructive, "replay_moves", counting)
+    for g, total in ((cycle(20), 6027), (path(14), 8418)):
+        replayed.clear()
+        certs = [solve_diameter_d(g, c, check_invariants=True) for c in
+                 stacked_threshold_configurations(g, 5, random.Random(20))]
+        assert sum(len(cert.moves) for cert in certs) == total
+        assert sum(replayed) == total
+
+
+def test_invariant_replay_catches_rewritten_prefix(monkeypatch):
+    # Between two checks, an already-checked move of the log is rewritten:
+    # the replay from the verified point must not take the rest on trust.
+    steps = []
+
+    def rewriting(g, state, initial, moves, initial_pending):
+        steps.append(state.step)
+        if state.step == 2:
+            u, v = moves[0]
+            moves[0] = (v, u)
+        check(g, state, initial, moves, initial_pending)
+
+    check = constructive.check_solver_state
+    monkeypatch.setattr(constructive, "check_solver_state", rewriting)
+    c = (0,) * 13 + ((1 << 11) * 12 + 1,)  # the threshold on one end of P14
+    with pytest.raises(InvariantViolation) as err:
+        solve_diameter_d(path(14), c)
+    assert str(err.value) == \
+        "solver state invalid at step 2: 8 (reachability by replay)"
+    assert steps == [0, 1, 2]
+
+
+def test_state_checker_replays_from_verified_point():
+    # One step into a run on P4 (clump size 2), checked with a replay point:
+    # the log must begin with the point's moves, and the moves after them
+    # must replay from the point's counts to the state's.
+    start, log = (0, 0, 0, 5), ((3, 2),)
+    state = SolverState((0, 0, 1, 3), frozenset({2, 3}), frozenset({3}),
+                        frozenset({0, 1}), frozenset(), 1)
+    for point in (((), start), (log, state.counts)):
+        check_solver_state(P4, replace(state, verified=point), start, log, 3)
+    for point in ((((2, 3),), (0, 0, 0, 5)),  # the log does not begin so
+                  (log + ((2, 1),), state.counts),  # the log is shorter
+                  ((), (0, 0, 0, 6)),  # the moves do not reach the counts
+                  ((), (0, 0, 5))):  # the point is no configuration of P4
+        with pytest.raises(InvariantViolation) as err:
+            check_solver_state(P4, replace(state, verified=point), start,
+                               log, 3)
+        assert str(err.value).endswith(": 8 (reachability by replay)"), point
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dcpebble import (
     subversion,
     support,
 )
-from dcpebble.pebbling import satisfies_mask
+from dcpebble.pebbling import replay_moves, satisfies_mask
 from dcpebble.solver import configurations
 
 
@@ -234,6 +234,87 @@ def test_certificate_bad_json():
                  '{"initial": [true, 0], "moves": []}'):
         with pytest.raises(PebblingError):
             Certificate.from_json(text)
+
+
+NOT_INT = "certificate counts and vertices must be integers"
+
+
+def unpack_error(m):
+    """The exception type and message of a plain two-name unpack of ``m``,
+    in this interpreter's words."""
+    try:
+        a, b = m
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{m!r} unpacks")
+
+
+# (initial, moves, JSON of both or None, the moves kept or the exception
+# type and message).  Every move is unpacked before any vertex is checked
+# for int, and the moves before the initial counts.
+CERTIFICATE_GATE = (
+    ([3, 0], [[0, 1], [1, 0]],
+     '{"initial": [3, 0], "moves": [[0, 1], [1, 0]]}', ((0, 1), (1, 0))),
+    ((3, 0), ((0, 1), [1, 0]), None, ((0, 1), (1, 0))),
+    ((3, 0), [[0, 1, 2]], '{"initial": [3, 0], "moves": [[0, 1, 2]]}',
+     unpack_error([0, 1, 2])),
+    ((3, 0), [[0]], '{"initial": [3, 0], "moves": [[0]]}',
+     unpack_error([0])),
+    ((3, 0), [5], '{"initial": [3, 0], "moves": [5]}', unpack_error(5)),
+    ((3, 0), [[0.0, 1]], '{"initial": [3, 0], "moves": [[0.0, 1]]}',
+     (PebblingError, NOT_INT)),
+    ((3, 0), [[0, True]], '{"initial": [3, 0], "moves": [[0, true]]}',
+     (PebblingError, NOT_INT)),
+    ((3, 0), [[0.5, 1], [0]], '{"initial": [3, 0], "moves": [[0.5, 1], [0]]}',
+     unpack_error([0])),
+    ((-1, 0), [[0.5, 1]], '{"initial": [-1, 0], "moves": [[0.5, 1]]}',
+     (PebblingError, NOT_INT)),
+    ((-1, 0), [[0, 1]], '{"initial": [-1, 0], "moves": [[0, 1]]}',
+     (PebblingError, "negative pebble count in (-1, 0)")),
+    (5, [[0]], '{"initial": 5, "moves": [[0]]}',
+     (TypeError, "'int' object is not iterable")),
+)
+
+
+@pytest.mark.parametrize("initial,moves,text,expected", CERTIFICATE_GATE)
+def test_certificate_gate_pinned(initial, moves, text, expected):
+    # Pinned against the gate before it stopped rebuilding every move; the
+    # from_json message is what `dcpebble verify` prints, with exit 64.
+    if isinstance(expected[0], type):
+        kind, message = expected
+        with pytest.raises(kind) as err:
+            Certificate(initial, moves)
+        assert type(err.value) is kind and str(err.value) == message
+        if text is not None:
+            with pytest.raises(PebblingError) as err:
+                Certificate.from_json(text)
+            assert str(err.value) == f"bad certificate JSON: {message}"
+        return
+    cert = Certificate(initial, moves)
+    assert cert.initial == tuple(initial) and cert.moves == expected
+    assert Certificate(initial, (m for m in moves)) == cert  # a generator
+    if text is not None:
+        assert Certificate.from_json(text) == cert
+
+
+def test_replay_moves_reasons_pinned():
+    # From (3, 1, 0, 0) on P4: each illegal move is reported with its index
+    # and reason, the counts left as they stood before it.
+    for moves, expected, left in (
+            ([(0, 1), (-1, 0)], (1, "move -1->0: vertex out of range"),
+             [1, 2, 0, 0]),
+            ([(0, -1)], (0, "move 0->-1: vertex out of range"), [3, 1, 0, 0]),
+            ([(0, 1), (3, 4)], (1, "move 3->4: vertex out of range"),
+             [1, 2, 0, 0]),
+            ([(4, 3)], (0, "move 4->3: vertex out of range"), [3, 1, 0, 0]),
+            ([(0, 2)], (0, "move 0->2: endpoints not adjacent"),
+             [3, 1, 0, 0]),
+            ([(1, 2)], (0, "move 1->2: needs 2 pebbles at source, found 1"),
+             [3, 1, 0, 0]),
+            ([(0, 1), (1, 2)], None, [1, 0, 1, 0])):
+        counts = [3, 1, 0, 0]
+        assert replay_moves(P4, counts, moves) == expected, moves
+        assert counts == left, moves
 
 
 def test_configuration_text_forms():
