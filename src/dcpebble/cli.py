@@ -158,7 +158,7 @@ def _cmd_solve(args) -> int:
     oracle = args.algorithm == "oracle"
     goal = _goal(args.goal if oracle else args.algorithm, args.omega)
     g = _single_graph(args)
-    config = parse_configuration(args.config, g.n)
+    config = parse_configuration(args.config)  # every solver gates it
 
     if oracle:
         result = is_solvable(g, config, goal, budget=args.budget)

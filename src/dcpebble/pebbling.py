@@ -38,18 +38,13 @@ def support(c: Sequence[int]) -> frozenset[int]:
     return frozenset(v for v, k in enumerate(c) if k > 0)
 
 
-def parse_configuration(text: str, n: int | None = None) -> Configuration:
-    """Parse the comma-separated text form, e.g. ``"5,0,0,0"``."""
+def parse_configuration(text: str) -> tuple[int, ...]:
+    """The ints of the comma-separated text form, e.g. ``"5,0,0,0"``;
+    :func:`check_configuration` decides whether they are a configuration."""
     try:
-        counts = tuple(int(p.strip()) for p in text.split(","))
+        return tuple(int(p.strip()) for p in text.split(","))
     except ValueError as exc:
         raise PebblingError(f"bad configuration text {text!r}") from exc
-    if any(k < 0 for k in counts):
-        raise PebblingError(f"negative count in configuration {text!r}")
-    if n is not None and len(counts) != n:
-        raise PebblingError(
-            f"configuration has {len(counts)} entries, graph has {n} vertices")
-    return counts
 
 
 def format_configuration(c: Sequence[int]) -> str:

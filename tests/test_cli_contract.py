@@ -1,6 +1,7 @@
-"""The README exit-code contract, the demos and the benchmark self-test,
-run as real processes: a case fails on a wrong exit code, a traceback, a
-missing stdout line or other stderr.  Also the README quick start's values."""
+"""The README exit-code contract, the demos, the benchmark self-test and
+the pin dump tool, run as real processes: a case fails on a wrong exit
+code, a traceback, a missing stdout line or other stderr.  Also the README
+quick start's values."""
 
 import ast
 import os
@@ -26,6 +27,7 @@ CAP = 1_000_000 * 1024  # address space in bytes, as `ulimit -v 1000000`
 class Case:
     argv: tuple[str, ...]
     codes: tuple[int, ...]          # allowed exit codes
+    command: tuple[str, ...] = DCPEBBLE  # what argv is passed to
     stdin: bytes | tuple[str, ...] = b""  # or the argv whose stdout it is
     graph: bytes | None = None      # written to a file passed as --graph
     env: tuple[tuple[str, str], ...] = ()
@@ -35,9 +37,10 @@ class Case:
     stderr: tuple[str, ...] = ()    # every line of stderr
 
 
-def check(case: Case, tmp_path: Path, command=DCPEBBLE) -> bytes:
-    """Run ``command + case.argv`` in its own session, killed as a group on
-    timeout, and fail unless it meets ``case``; return its stdout."""
+def check(case: Case, tmp_path: Path) -> bytes:
+    """Run ``case.command + case.argv`` in its own session, killed as a
+    group on timeout, and fail unless it meets ``case``; return its
+    stdout."""
     stdin, argv = case.stdin, case.argv
     if isinstance(stdin, tuple):
         stdin = check(Case(stdin, (cli.EXIT_OK,)), tmp_path)
@@ -47,8 +50,9 @@ def check(case: Case, tmp_path: Path, command=DCPEBBLE) -> bytes:
     limit = ((lambda: resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP)))
              if case.capped else None)
     with subprocess.Popen(
-            (*command, *argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, start_new_session=True, preexec_fn=limit,
+            (*case.command, *argv), stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True, preexec_fn=limit,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
                  **dict(case.env)}) as proc:
         try:
@@ -110,6 +114,13 @@ CASES = {
         "path", 4, 3, "--goal", "subversion", "--omega",
         "99999999999999999999", codes=(cli.EXIT_OK,), timeout=10.0,
         stdout=("verdict: solvable (verified)",)),
+    "pins-dump-diamd": Case(
+        (str(ROOT / "tests/pins.py"), "diamd", "path 10"), (cli.EXIT_OK,),
+        command=PYTHON, stdout=(
+            "state (91, 93, 99, 105, 97, 108, 103, 115, 114, 100) "
+            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] [] [] [] 0 0",
+            "cert IhCGGC@?G True (91, 93, 99, 105, 97, 108, 103, 115, 114, "
+            "100) ()")),
 }
 
 
@@ -127,8 +138,8 @@ SCRIPTS = {**{f"demos/{path.name}": () for path in
 
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_runs(script, tmp_path):
-    check(Case((str(ROOT / script),), (cli.EXIT_OK,), stdout=SCRIPTS[script]),
-          tmp_path, PYTHON)
+    check(Case((str(ROOT / script),), (cli.EXIT_OK,), PYTHON,
+               stdout=SCRIPTS[script]), tmp_path)
 
 
 def test_readme_exit_codes_are_the_cli_constants():
@@ -155,7 +166,8 @@ def test_readme_quick_start_values():
 
 
 # The helper's own cases: each command breaks one rule that MEETS keeps.
-MEETS = Case(("-c", "print('line')"), (cli.EXIT_OK,), stdout=("line",))
+MEETS = Case(("-c", "print('line')"), (cli.EXIT_OK,), PYTHON,
+             stdout=("line",))
 
 
 @pytest.mark.parametrize("code", (
@@ -163,9 +175,9 @@ MEETS = Case(("-c", "print('line')"), (cli.EXIT_OK,), stdout=("line",))
     "import sys; print('line'); sys.stderr.write('Traceback')",
     "print('lines')"))
 def test_check_fails_a_broken_case(code, tmp_path):
-    check(MEETS, tmp_path, PYTHON)
+    check(MEETS, tmp_path)
     with pytest.raises(AssertionError):
-        check(replace(MEETS, argv=("-c", code)), tmp_path, PYTHON)
+        check(replace(MEETS, argv=("-c", code)), tmp_path)
 
 
 def test_check_kills_the_session_on_timeout(tmp_path):
@@ -176,7 +188,7 @@ def test_check_kills_the_session_on_timeout(tmp_path):
     pid = tmp_path / "pid"
     with pytest.raises(AssertionError, match="timeout"):
         check(replace(MEETS, argv=("-c", spawn, str(pid)), timeout=2.0),
-              tmp_path, PYTHON)
+              tmp_path)
     # Its pipes reached EOF, so the grandchild has exited: it is gone, or a
     # zombie that its new parent has yet to reap.
     try:

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from dataclasses import replace
 
@@ -39,6 +38,7 @@ from dcpebble import (
 from dcpebble import constructive
 from dcpebble.pebbling import replay_moves
 from dcpebble.solver import configurations
+from pins import Pin, check_pin
 
 
 P4 = path(4)
@@ -116,13 +116,6 @@ def test_diameter2_preconditions():
         solve_diameter2(P4, (5, 0, 0, 0))  # diameter 3
     with pytest.raises(PreconditionError):
         solve_diameter2(STAR5, (1, 1, 1, 0, 0))  # below n-1
-
-
-def test_diameter2_exhaustive_order_up_to_5(diam2_upto5):
-    for g in diam2_upto5:
-        for c in configurations(g.n, g.n - 1):
-            cert = solve_diameter2(g, c)
-            assert verify_certificate(g, cert, DOMINATION).ok, (g, c)
 
 
 def test_diameter2_handles_extra_pebbles(diam2_upto5):
@@ -413,11 +406,49 @@ def test_subversion_linked_star_tight():
 # certificates pinned across refactors
 # ---------------------------------------------------------------------------
 
-PINNED_OUTCOMES = (
-    58284, "2197b31de999ac5e080dd5b2530980c363f7832adf6738b92cba33130d3f5cf5")
+PINNED_OUTCOMES = Pin(
+    58284, "2197b31de999ac5e080dd5b2530980c363f7832adf6738b92cba33130d3f5cf5",
+    {
+        "diam2 1": (2, "f78ff5a034af"),
+        "spread 1": (2, "d976471c86ad"),
+        "diamd 1": (2, "10c3efc6a9e5"),
+        "diamd_noinv 1": (2, "9b2d59e841cc"),
+        "subv1 1": (2, "94d3fce818b5"),
+        "subv2 1": (2, "4431447e98c2"),
+        "diam2 2": (6, "8f2b4a687007"),
+        "spread 2": (6, "84edf887b60d"),
+        "diamd 2": (6, "451c39f2692e"),
+        "diamd_noinv 2": (6, "ab4605185a0e"),
+        "subv1 2": (6, "7a237195828c"),
+        "subv2 2": (6, "79ad399c5f6e"),
+        "diam2 3": (40, "306de2b42d66"),
+        "spread 3": (40, "1f32789c875a"),
+        "diamd 3": (40, "2efc7a29c6ed"),
+        "diamd_noinv 3": (40, "bdad157360cd"),
+        "subv1 3": (40, "0846432d3958"),
+        "subv2 3": (40, "8079a0ce64f5"),
+        "diam2 4": (470, "ddf30b3b4176"),
+        "spread 4": (470, "0773aa010e27"),
+        "diamd 4": (470, "58165a903039"),
+        "diamd_noinv 4": (470, "cd72c6fb0f29"),
+        "subv1 4": (470, "5aa59364723c"),
+        "subv2 4": (470, "6774e5c512d6"),
+        "diam2 5": (9196, "f0eb6434b98d"),
+        "spread 5": (9196, "b260aa451ca7"),
+        "diamd 5": (9196, "3d8f66ac582e"),
+        "diamd_noinv 5": (9196, "08c60e56100c"),
+        "subv1 5": (9196, "f1cb073d8799"),
+        "subv2 5": (9196, "49f1ee2a9187"),
+    })
 
-PINNED_OUTCOMES_DIAM2_ORDER6 = (
-    215040, "e12adb32ccc7be34686ce6245ea19f19af06a87e10a09ee1542510b6062a69ac")
+PINNED_OUTCOMES_DIAM2_ORDER6 = Pin(
+    215040, "e12adb32ccc7be34686ce6245ea19f19af06a87e10a09ee1542510b6062a69ac",
+    {
+        "diam2 6": (53760, "05c1181086c9"),
+        "spread 6": (53760, "10a9d1a25f63"),
+        "subv1 6": (53760, "848753d4fa36"),
+        "subv2 6": (53760, "5cd1cec05373"),
+    })
 
 SOLVERS = (
     ("diam2", solve_diameter2),
@@ -437,7 +468,7 @@ def solver_outcomes(orders, solvers, max_diameter=None):
     certificate's ``(initial, moves)``, or the exception's type and
     message.  Each solver runs at every size in n-1, n, n-1-omega
     (omega = 1, 2) and 2^(d-2)(n-2)+1, so precondition failures are pinned
-    too."""
+    too.  Bucketed by solver and order."""
     for n in orders:
         for line, g in zip(connected_graph6_lines(n), connected_graphs(n)):
             if max_diameter is not None and g.diameter > max_diameter:
@@ -454,32 +485,54 @@ def solver_outcomes(orders, solvers, max_diameter=None):
                         except (PebblingError, PreconditionError,
                                 InvariantViolation) as exc:
                             out = (type(exc).__name__, str(exc))
-                        yield f"{name} {line} {c} {out}\n"
+                        yield f"{name} {n}", f"{name} {line} {c} {out}\n"
 
 
-def _digest(rows):
-    digest = hashlib.sha256()
-    calls = 0
-    for row in rows:
-        digest.update(row.encode())
-        calls += 1
-    return calls, digest.hexdigest()
+def outcomes():
+    return solver_outcomes(range(1, 6), SOLVERS)
+
+
+def outcomes_diam2_order6():
+    # order 6 reaches the remote branch's already-dominated skip
+    return solver_outcomes((6,), DIAM2_SOLVERS, max_diameter=2)
 
 
 def test_solver_outcomes_pinned():
-    assert _digest(solver_outcomes(range(1, 6), SOLVERS)) == PINNED_OUTCOMES
+    check_pin(outcomes(), PINNED_OUTCOMES)
 
 
 def test_solver_outcomes_pinned_diameter2_order6():
-    # order 6 reaches the remote branch's already-dominated skip
-    assert _digest(solver_outcomes((6,), DIAM2_SOLVERS, max_diameter=2)) \
-        == PINNED_OUTCOMES_DIAM2_ORDER6
+    check_pin(outcomes_diam2_order6(), PINNED_OUTCOMES_DIAM2_ORDER6)
 
 
 # Pinned before the diameter-d solver lost its hand-kept ``covered`` set:
 # every certificate, and every state handed to the invariant checker.
-PINNED_DIAMD_OUTCOMES = (
-    1687, "2ec11bcfae73f493def92ae7dc32e7e371752e1bd5150e81389eb9465f4bd827")
+PINNED_DIAMD_OUTCOMES = Pin(
+    1687, "2ec11bcfae73f493def92ae7dc32e7e371752e1bd5150e81389eb9465f4bd827",
+    {
+        "random 0": (75, "afdd6a573119"),
+        "random 1": (76, "900c0fe3bbf2"),
+        "random 2": (76, "99776a431ab1"),
+        "random 3": (82, "c30ae5ba7803"),
+        "random 4": (75, "6f760b3db579"),
+        "random 5": (75, "bf94b5973497"),
+        "random 6": (75, "47c4704e8924"),
+        "random 7": (75, "ce6afbba4b61"),
+        "random 8": (75, "042894a817f9"),
+        "random 9": (77, "c77aed670d7a"),
+        "random 10": (75, "6a21c15306d7"),
+        "random 11": (76, "32c5fc1116fb"),
+        "tail-clique 2 4": (75, "9e09c74dfeaf"),
+        "tail-clique 4 5": (75, "a24910d4a9fb"),
+        "tail-clique 8 4": (75, "d7a3ebe79052"),
+        "tail-clique 10 3": (92, "7365d150fdf0"),
+        "path 10": (75, "911bbefca5c8"),
+        "path 14": (75, "872ca5fb8237"),
+        "cycle 12": (75, "db7787f48f28"),
+        "cycle 20": (75, "331271a8317a"),
+        "binary-tree 3": (75, "64eeb97194b8"),
+        "apex-pendant-clique 20 2": (83, "315aa9fdc0bf"),
+    })
 
 DIAMD_FAMILIES = (
     ("tail-clique", (2, 4)), ("tail-clique", (4, 5)), ("tail-clique", (8, 4)),
@@ -489,44 +542,55 @@ DIAMD_FAMILIES = (
 )
 
 
-def diamd_outcomes(monkeypatch):
+def diamd_outcomes():
     """Rows for 25 seeded threshold configurations on each of the random
     diameter-d graphs and the named diameter-d families, solved with and
-    without invariants.  Sets are written sorted: equal frozensets built
-    in different orders can repr differently."""
+    without invariants, bucketed by graph: "random" and its index, or the
+    family.  Sets are written sorted: equal frozensets built in different
+    orders can repr differently."""
     rows = []
 
     def recording(g, state, initial, moves, initial_pending):
-        rows.append(f"state {state.counts} {sorted(state.covered)} "
-                    f"{sorted(state.heavy)} {sorted(state.pending)} "
-                    f"{sorted(state.retired)} {state.step} "
-                    f"{initial_pending}\n")
+        rows.append((label, f"state {state.counts} {sorted(state.covered)} "
+                            f"{sorted(state.heavy)} {sorted(state.pending)} "
+                            f"{sorted(state.retired)} {state.step} "
+                            f"{initial_pending}\n"))
         check(g, state, initial, moves, initial_pending)
 
     check = constructive.check_solver_state
-    monkeypatch.setattr(constructive, "check_solver_state", recording)
-    graphs = random_diamd_graphs(random.Random(20240917))
-    graphs += [generate(FamilySpec(kind, params))
+    graphs = [(f"random {i}", g) for i, g in
+              enumerate(random_diamd_graphs(random.Random(20240917)))]
+    graphs += [(f"{kind} {' '.join(map(str, params))}",
+                generate(FamilySpec(kind, params)))
                for kind, params in DIAMD_FAMILIES]
     rng = random.Random(14)
-    for g in graphs:
-        threshold = (1 << (g.diameter - 2)) * (g.n - 2) + 1
-        for _ in range(25):
-            c = random_configuration(g.n, threshold, rng)
-            for invariants in (True, False):
-                cert = solve_diameter_d(g, c, invariants)
-                rows.append(f"cert {emit_graph6(g)} {invariants} "
-                            f"{cert.initial} {cert.moves}\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructive, "check_solver_state", recording)
+        for label, g in graphs:
+            threshold = (1 << (g.diameter - 2)) * (g.n - 2) + 1
+            for _ in range(25):
+                c = random_configuration(g.n, threshold, rng)
+                for invariants in (True, False):
+                    cert = solve_diameter_d(g, c, invariants)
+                    rows.append((label, f"cert {emit_graph6(g)} {invariants} "
+                                        f"{cert.initial} {cert.moves}\n"))
     return rows
 
 
-def test_diamd_outcomes_pinned(monkeypatch):
-    assert _digest(diamd_outcomes(monkeypatch)) == PINNED_DIAMD_OUTCOMES
+def test_diamd_outcomes_pinned():
+    check_pin(diamd_outcomes(), PINNED_DIAMD_OUTCOMES)
 
 
 # Pinned before the spreading solver became one ascending pass.
-PINNED_SPREAD_OUTCOMES = (
-    400, "8bf4f47ea7d148c840b89a6923bcd85b3fc90bfff91cd6884a43c2a9587a8ac1")
+PINNED_SPREAD_OUTCOMES = Pin(
+    400, "8bf4f47ea7d148c840b89a6923bcd85b3fc90bfff91cd6884a43c2a9587a8ac1",
+    {
+        "complete 10": (80, "d232072881a7"),
+        "complete 16": (80, "008099bd615b"),
+        "multipartite 2 3 4": (80, "71d52e53b969"),
+        "multipartite 6 6 6": (80, "47b8878fcfbd"),
+        "multipartite 3 3 3 3": (80, "c79c8b74a731"),
+    })
 
 SPREAD_FAMILIES = (
     ("complete", (10,)), ("complete", (16,)), ("multipartite", (2, 3, 4)),
@@ -537,9 +601,11 @@ SPREAD_FAMILIES = (
 def spread_outcomes():
     """Rows for seeded configurations of every size from the spreading
     threshold to the threshold + 3 on the dense named families, each size
-    both dropped uniformly and stacked on one to three vertices."""
+    both dropped uniformly and stacked on one to three vertices, bucketed
+    by family."""
     rng = random.Random(15)
     for kind, params in SPREAD_FAMILIES:
+        family = f"{kind} {' '.join(map(str, params))}"
         g = generate(FamilySpec(kind, params))
         threshold = (4 * g.n - 2 * g.min_degree() - 3) // 3
         for size in range(threshold, threshold + 4):
@@ -551,8 +617,9 @@ def spread_outcomes():
                 for c in (random_configuration(g.n, size, rng),
                           tuple(stacked)):
                     cert = spread_diameter2(g, c)
-                    yield f"{emit_graph6(g)} {cert.initial} {cert.moves}\n"
+                    yield family, (f"{emit_graph6(g)} {cert.initial} "
+                                   f"{cert.moves}\n")
 
 
 def test_spread_outcomes_pinned():
-    assert _digest(spread_outcomes()) == PINNED_SPREAD_OUTCOMES
+    check_pin(spread_outcomes(), PINNED_SPREAD_OUTCOMES)

@@ -28,7 +28,7 @@ from dcpebble import (
     subversion,
     support,
 )
-from dcpebble.pebbling import replay_moves, satisfies_mask
+from dcpebble.pebbling import check_configuration, replay_moves, satisfies_mask
 from dcpebble.solver import configurations
 
 
@@ -319,14 +319,15 @@ def test_replay_moves_reasons_pinned():
 
 def test_configuration_text_forms():
     assert parse_configuration("5,0,0,0") == (5, 0, 0, 0)
-    assert parse_configuration(" 1 , 2 ", 2) == (1, 2)
+    assert parse_configuration(" 1 , -2 ") == (1, -2)
     assert format_configuration((5, 0, 0, 0)) == "5,0,0,0"
-    with pytest.raises(PebblingError):
+    with pytest.raises(PebblingError, match="bad configuration text"):
         parse_configuration("1,x")
-    with pytest.raises(PebblingError):
-        parse_configuration("1,-2")
-    with pytest.raises(PebblingError):
-        parse_configuration("1,2,3", 2)
+    # the length and sign rules are the gate's alone
+    with pytest.raises(PebblingError, match="negative pebble count"):
+        check_configuration(path(2), parse_configuration("1,-2"))
+    with pytest.raises(PebblingError, match="3 entries, graph has 2"):
+        check_configuration(path(2), parse_configuration("1,2,3"))
 
 
 def test_support():

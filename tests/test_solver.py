@@ -1,4 +1,3 @@
-import hashlib
 import sys
 from math import comb
 
@@ -34,6 +33,7 @@ from dcpebble import solver
 from dcpebble.graphs import dominated_mask
 from dcpebble.pebbling import satisfies_mask
 from dcpebble.solver import _packing, _targets, configurations, default_cap
+from pins import Pin, check_pin
 
 
 P4 = path(4)
@@ -241,8 +241,46 @@ def test_search_matches_unpruned_reference(goal):
 # search outcomes pinned across refactors
 # ---------------------------------------------------------------------------
 
-PINNED_ORACLE = (
-    78594, "3402b7a1cbdd40b6722e49c6c36badb4d1627aa3e681706f4b15bf8a86d3bce7")
+PINNED_ORACLE = Pin(
+    78594, "3402b7a1cbdd40b6722e49c6c36badb4d1627aa3e681706f4b15bf8a86d3bce7",
+    {
+        "1 domination": (6, "9502c5a845cc"),
+        "1 subversion(omega=1)": (6, "abcb24c9cc53"),
+        "1 subversion(omega=2)": (6, "e1140ad32f71"),
+        "1 cover": (6, "3e8bb118c992"),
+        "2 domination": (9, "4f055ac214dd"),
+        "2 subversion(omega=1)": (9, "33e9d0b99a78"),
+        "2 subversion(omega=2)": (9, "a79b8f9576c8"),
+        "2 cover": (30, "081d01e0ae7a"),
+        "3 domination": (60, "32c19203e103"),
+        "3 subversion(omega=1)": (60, "a8baf073d944"),
+        "3 subversion(omega=2)": (60, "95fb96501c76"),
+        "3 cover": (420, "134d943c72c2"),
+        "4 domination": (903, "1f65deeeed1b"),
+        "4 subversion(omega=1)": (903, "45a4ececd8c1"),
+        "4 subversion(omega=2)": (903, "c426ebcc7bc9"),
+        "4 cover": (3780, "0ae06891f1cf"),
+        "5 domination": (13986, "d8e3405d2a3b"),
+        "5 subversion(omega=1)": (13986, "fff1b3c2bca4"),
+        "5 subversion(omega=2)": (13986, "2ecbb59e80ff"),
+        "5 cover": (29106, "818e16432333"),
+        "path 7 domination": (21, "83beb6016f71"),
+        "path 7 subversion(omega=1)": (21, "4f2c849c627a"),
+        "path 7 subversion(omega=2)": (21, "bdaa199fcbc4"),
+        "path 7 cover": (21, "eced44e13b4d"),
+        "cycle 9 domination": (27, "46010209e03c"),
+        "cycle 9 subversion(omega=1)": (27, "1232eeb66784"),
+        "cycle 9 subversion(omega=2)": (27, "1c1cb967daf4"),
+        "cycle 9 cover": (27, "a08939a719e4"),
+        "binary-tree 2 domination": (21, "f26eb44ab960"),
+        "binary-tree 2 subversion(omega=1)": (21, "804b869c6d7a"),
+        "binary-tree 2 subversion(omega=2)": (21, "e38d5c89ea8e"),
+        "binary-tree 2 cover": (21, "9928ffcbed04"),
+        "tail-clique 2 4 domination": (21, "212427053fc2"),
+        "tail-clique 2 4 subversion(omega=1)": (21, "6762e0b74a03"),
+        "tail-clique 2 4 subversion(omega=2)": (21, "8b33d3509222"),
+        "tail-clique 2 4 cover": (21, "15a8e379ccee"),
+    })
 
 
 def oracle_outcomes():
@@ -250,7 +288,8 @@ def oracle_outcomes():
     every configuration of at most min(cap, 6) pebbles on the corpus up to
     order 5, at the default budget and at budgets 3 and 40; then on single
     stacks of cap // 4, cap // 2 and cap - 1 pebbles on every vertex of
-    four named families, at budget 5,000."""
+    four named families, at budget 5,000.  Bucketed by corpus order or
+    family, and goal."""
     def outcome(res):
         moves = None if res.certificate is None else res.certificate.moves
         return res.solvable, moves, res.states_explored
@@ -263,7 +302,8 @@ def oracle_outcomes():
                         for budget in (None, 3, 40):
                             res = (is_solvable(g, c, goal) if budget is None
                                    else is_solvable(g, c, goal, budget))
-                            yield (f"{line} {goal.describe()} {budget} {c} "
+                            yield (f"{n} {goal.describe()}",
+                                   f"{line} {goal.describe()} {budget} {c} "
                                    f"{outcome(res)}\n")
     named = (("path 7", path(7)), ("cycle 9", cycle(9)),
              ("binary-tree 2", binary_tree(2)),
@@ -275,16 +315,12 @@ def oracle_outcomes():
                 for v in range(g.n):
                     c = tuple(size * (u == v) for u in range(g.n))
                     res = is_solvable(g, c, goal, 5000)
-                    yield f"{name} {goal.describe()} {c} {outcome(res)}\n"
+                    yield (f"{name} {goal.describe()}",
+                           f"{name} {goal.describe()} {c} {outcome(res)}\n")
 
 
 def test_oracle_outcomes_pinned():
-    digest = hashlib.sha256()
-    calls = 0
-    for row in oracle_outcomes():
-        digest.update(row.encode())
-        calls += 1
-    assert (calls, digest.hexdigest()) == PINNED_ORACLE
+    check_pin(oracle_outcomes(), PINNED_ORACLE)
 
 
 @st.composite
@@ -477,13 +513,6 @@ def test_budget_gives_partial():
     assert rep.status == "budget"
 
 
-def test_omega_zero_equals_psi_small():
-    for n in range(2, 5):
-        for g in connected_graphs(n):
-            assert pebbling_value(g, subversion(0)).value == \
-                pebbling_value(g, DOMINATION).value
-
-
 def test_subversion_value_zero_when_omega_covers_graph():
     g = complete(3)
     assert pebbling_value(g, subversion(3)).value == 0
@@ -505,13 +534,6 @@ def test_lambda_stacking_witness_is_single_stack():
     assert rep.witness in ((6, 0, 0), (0, 0, 6))
     assert rep.witness == (6, 0, 0)  # ties break to the smallest index
     assert stacking_value(path(3), 0) == 7
-
-
-def test_lambda_stacking_matches_bruteforce_small():
-    for n in range(1, 6):
-        for g in connected_graphs(n):
-            assert lambda_stacking(g).value == \
-                pebbling_value(g, FULL_COVER).value
 
 
 def test_lambda_stacking_witness_unsolvable():
@@ -609,8 +631,46 @@ def test_pebbling_values_match_single_goal_scans():
 # scan outcomes pinned across refactors
 # ---------------------------------------------------------------------------
 
-PINNED_SCAN = (
-    1853, "f12662250d481e4fff5b4ffb812eedff083f10bc0dd0bd07a9d622f05cc1784f")
+PINNED_SCAN = Pin(
+    1853, "f12662250d481e4fff5b4ffb812eedff083f10bc0dd0bd07a9d622f05cc1784f",
+    {
+        "1 domination": (4, "8763f7a26608"),
+        "1 subversion(omega=1)": (4, "85cd9794964c"),
+        "1 subversion(omega=2)": (4, "812208f183ee"),
+        "1 cover": (4, "8a7065ca8ce9"),
+        "2 domination": (4, "d7d331023d28"),
+        "2 subversion(omega=1)": (4, "af1b805676bb"),
+        "2 subversion(omega=2)": (4, "8e0d70cad213"),
+        "2 cover": (4, "9bb868e63987"),
+        "3 domination": (8, "f248bcc48303"),
+        "3 subversion(omega=1)": (8, "3355ccd38a1f"),
+        "3 subversion(omega=2)": (8, "05789268f462"),
+        "3 cover": (8, "d063eb692c60"),
+        "4 domination": (24, "2def472584f1"),
+        "4 subversion(omega=1)": (24, "a14c1b1d6503"),
+        "4 subversion(omega=2)": (24, "a32ba13db31a"),
+        "4 cover": (24, "4c9219847b05"),
+        "5 domination": (84, "9bdb54009045"),
+        "5 subversion(omega=1)": (84, "9fcc80874040"),
+        "5 subversion(omega=2)": (84, "280853d0dc75"),
+        "5 cover": (84, "b5342ce75e89"),
+        "6 domination": (448, "45ece9689853"),
+        "6 subversion(omega=1)": (448, "eaacb417c9a4"),
+        "6 subversion(omega=2)": (448, "28e5f17881a1"),
+        "path 7 domination": (1, "2fa691ed4e0b"),
+        "path 7 subversion(omega=1)": (1, "46ac53731bb8"),
+        "path 7 subversion(omega=2)": (1, "0ac2e2168f87"),
+        "binary-tree 2 domination": (1, "a7449d92f1b5"),
+        "binary-tree 2 subversion(omega=1)": (1, "4e39b590d3f6"),
+        "binary-tree 2 subversion(omega=2)": (1, "6953dabcb275"),
+        "tail-clique 2 4 domination": (1, "e7aacd631ce4"),
+        "tail-clique 2 4 subversion(omega=1)": (1, "9d7e853c1bef"),
+        "tail-clique 2 4 subversion(omega=2)": (1, "17126dcd957d"),
+        "cycle 9 domination": (1, "3ffa7ab53ef6"),
+        "cycle 9 subversion(omega=1)": (1, "5ac8925955b6"),
+        "cycle 9 subversion(omega=2)": (1, "e919b068044f"),
+        "tail-clique 2 3 cover": (1, "acf2d4e7dc5b"),
+    })
 
 
 def scan_outcomes():
@@ -618,7 +678,7 @@ def scan_outcomes():
     corpus up to order 6 for domination and omega = 1, 2 in one scan, and
     up to order 5 for cover, unlimited, at budgets 7 and 40 and at cap 3;
     then the shared scan of four named families and brute lambda of
-    tail-clique 2 3."""
+    tail-clique 2 3.  Bucketed by corpus order or family, and goal."""
     def outcome(rep):
         return rep.value, rep.witness, rep.status, rep.checked
 
@@ -630,24 +690,22 @@ def scan_outcomes():
                 for cap, budget in limits:
                     reps = pebbling_values(g, goals, cap, budget)
                     for goal, rep in zip(goals, reps):
-                        yield (f"{line} {goal.describe()} {cap} {budget} "
+                        yield (f"{n} {goal.describe()}",
+                               f"{line} {goal.describe()} {cap} {budget} "
                                f"{outcome(rep)}\n")
     named = (("path 7", path(7)), ("binary-tree 2", binary_tree(2)),
              ("tail-clique 2 4", tail_clique(2, 4)), ("cycle 9", cycle(9)))
     for name, g in named:
         for goal, rep in zip(shared, pebbling_values(g, shared)):
-            yield f"{name} {goal.describe()} {outcome(rep)}\n"
+            yield (f"{name} {goal.describe()}",
+                   f"{name} {goal.describe()} {outcome(rep)}\n")
     rep = pebbling_value(tail_clique(2, 3), FULL_COVER)
-    yield f"tail-clique 2 3 {FULL_COVER.describe()} {outcome(rep)}\n"
+    bucket = f"tail-clique 2 3 {FULL_COVER.describe()}"
+    yield bucket, f"{bucket} {outcome(rep)}\n"
 
 
 def test_scan_outcomes_pinned():
-    digest = hashlib.sha256()
-    calls = 0
-    for row in scan_outcomes():
-        digest.update(row.encode())
-        calls += 1
-    assert (calls, digest.hexdigest()) == PINNED_SCAN
+    check_pin(scan_outcomes(), PINNED_SCAN)
 
 
 def test_psi_path8_exact_within_budget():
@@ -666,24 +724,3 @@ def test_full_enumeration_budget_suffices():
                            for k in range(rep.value + 1))
                 assert rep.checked <= full
                 assert pebbling_value(g, goal, budget=full) == rep
-
-
-# ---------------------------------------------------------------------------
-# pointwise monotonicity
-# ---------------------------------------------------------------------------
-
-def test_pointwise_monotonicity_small():
-    goals = [DOMINATION, FULL_COVER, subversion(1), subversion(2)]
-    for n in range(2, 5):
-        for g in connected_graphs(n):
-            for goal in goals:
-                solvable = {}
-                for size in range(6):
-                    for c in configurations(g.n, size):
-                        solvable[c] = is_solvable(g, c, goal).solvable
-                for c, ok in solvable.items():
-                    if not ok or sum(c) >= 5:
-                        continue
-                    for v in range(g.n):
-                        bumped = tuple(c[i] + (i == v) for i in range(g.n))
-                        assert solvable[bumped], (g, goal, c, v)
