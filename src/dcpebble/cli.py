@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_non_negative,
                    default=DEFAULT_STATE_BUDGET,
                    help="oracle state budget (default 10^7); a stored "
-                   "state takes about 82 bytes, so the default can "
-                   "need about 0.8 GB")
+                   "state takes about 82-104 bytes, so the default can "
+                   "need about 0.8-1.0 GB")
     p.add_argument("--skip-invariants", action="store_true",
                    help="disable the diameter-d solver's invariant checks")
     p.set_defaults(func=_cmd_solve)

@@ -185,9 +185,28 @@ def undominated_component_sizes(g: Graph, covered_mask: int) -> list[int]:
 
 
 def max_undominated_component(g: Graph, covered_mask: int) -> int:
-    """Largest undominated component order, 0 when fully dominated."""
-    sizes = undominated_component_sizes(g, covered_mask)
-    return sizes[0] if sizes else 0
+    """Largest undominated component order, 0 when fully dominated (hot
+    path).  Components are grown one at a time, keeping the largest; the
+    search stops once the undominated vertices left over cannot beat it.
+    Each component grows from its lowest vertex by the closed
+    neighbourhoods of its last rim, as in :func:`dominated_mask`."""
+    closed = g.closed_masks
+    undom = g.full_mask & ~dominated_mask(g, covered_mask)
+    best = 0
+    while undom.bit_count() > best:
+        comp = rim = undom & -undom
+        while rim:
+            grown = 0
+            while rim:
+                low = rim & -rim
+                grown |= closed[low.bit_length() - 1]
+                rim ^= low
+            rim = grown & undom & ~comp
+            comp |= rim
+        if comp.bit_count() > best:
+            best = comp.bit_count()
+        undom ^= comp
+    return best
 
 
 # ---------------------------------------------------------------------------

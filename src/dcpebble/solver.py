@@ -103,7 +103,10 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     slack of every weight bound (see :class:`_Packing` and
     :func:`_targets`), so a move is one addition; the visited set keeps
     only the count fields, as the slacks follow from the counts, and the
-    goal test and the legal steps read those fields alone.  A
+    goal test and the legal steps read those fields alone.  The goal
+    verdict is kept per pattern of occupied fields: cover holds iff every
+    field is occupied, so it reads the occupied bits, and the other goals
+    test the support mask.  A
     configuration's legal steps come from the packing's move
     table, keyed by which sources hold two pebbles: one dict lookup per
     expanded configuration once its pattern has been seen.  A step is a
@@ -122,7 +125,7 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     initial = check_configuration(g, c)
     p = _packing(g, goal, sum(initial).bit_length())
     guard, low, high, two = p.guard, p.low, p.high, p.two
-    counts = high | low
+    counts, cover = high | low, goal.kind == "cover"
     met: dict[int, bool] = {}  # goal verdict by occupied count fields
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
     visited: set[int] = set()  # count fields: the slacks follow from them
@@ -144,7 +147,9 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
             occupied = ((key & low) + low | key) & high
             meets = met.get(occupied)
             if meets is None:
-                meets = met[occupied] = satisfies_mask(g, p.support(key), goal)
+                meets = met[occupied] = (
+                    occupied == high if cover
+                    else satisfies_mask(g, p.support(key), goal))
             if meets:
                 solution = Certificate(initial, (*moves, move)[1:])
                 return SolveResult(True, solution, len(visited))
@@ -457,7 +462,12 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     its omega; its witness is the colex-last one of the size before, the
     largest such packed int (see :class:`_Packing`).  A pebble never
     raises a score, so only the upper shadow of a level (those whose every
-    neighbour one pebble smaller was kept) is scored.
+    neighbour one pebble smaller was kept) is scored.  When every goal
+    asks for the same omega, a kept score is only ever compared with that
+    omega, so a candidate is kept iff its support score is above it and
+    every child is in the previous level, and the level holds the support
+    score in place of the score: each move is probed by membership alone,
+    up to the first child not kept.
 
     Kept configurations are filed by pattern, ``occupied | sources << n``:
     the mask of the vertices holding a pebble and the top count bits of
@@ -484,6 +494,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         raise ValueError("cap must be >= 0")
     cover = goals[0].kind == "cover"
     floor = min(goal.omega for goal in goals)
+    single = all(goal.omega == floor for goal in goals)
     n, full, p = g.n, g.full_mask, _packing(g, None, cap.bit_length())
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
     reports: list[NumberReport | None] = [None] * len(goals)
@@ -549,12 +560,18 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                         if score > floor:
                             # Probe moves by lowest source, then adjacency
                             # order, until one leaves the kept set.
-                            for delta, _ in row:
-                                child = prev.get(x + delta, floor)
-                                if child < score:
-                                    score = child
-                                    if score <= floor:
+                            if single:
+                                for delta, _ in row:
+                                    if x + delta not in prev:
+                                        score = floor
                                         break
+                            else:
+                                for delta, _ in row:
+                                    child = prev.get(x + delta, floor)
+                                    if child < score:
+                                        score = child
+                                        if score <= floor:
+                                            break
                             if score > floor:
                                 level[x] = score
                                 if members is None:

@@ -23,7 +23,7 @@ from dcpebble import (
     wheel,
 )
 from dcpebble.fixtures import CONNECTED_COUNTS
-from dcpebble.graphs import GRAPH6_MAX_ORDER
+from dcpebble.graphs import GRAPH6_MAX_ORDER, max_undominated_component
 
 
 def test_build_p4():
@@ -112,6 +112,15 @@ def test_undominated_sizes_sum():
             cov = {v for v in range(g.n) if mask >> v & 1}
             sizes = undominated_components(g, cov)
             assert sum(sizes) == g.n - len(dominated_vertices(g, cov))
+
+
+def test_max_undominated_component_is_largest_component():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for mask in range(1 << g.n):
+                cov = [v for v in range(g.n) if mask >> v & 1]
+                assert max_undominated_component(g, mask) == max(
+                    undominated_components(g, cov), default=0)
 
 
 def test_parse_graph6_k4():

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from math import comb
 
@@ -599,15 +600,47 @@ def _verdict(rep):
     return rep.value, rep.witness, rep.status
 
 
+def _probes_run(g, goals):
+    """The probe lines of ``pebbling_values`` that ran in one scan."""
+    code = pebbling_values.__code__
+    lines, first = inspect.getsourcelines(pebbling_values)
+    probes = {first + i: line.strip() for i, line in enumerate(lines)
+              if "x + delta" in line}
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno in probes:
+            ran.add(probes[frame.f_lineno])
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        pebbling_values(g, goals)
+    finally:
+        sys.settrace(before)
+    return ran
+
+
 def test_pebbling_values_match_single_goal_scans():
     # The candidates of a shared scan depend on its smallest omega, so
     # only the verdicts agree with the one-goal scans, not ``checked``.
+    # Goals that all ask for one omega probe children by membership in the
+    # kept set; goals that differ compare the children's scores.
     goals = (DOMINATION, subversion(1), subversion(2))
+    twin = (DOMINATION, subversion(0))
+    assert _probes_run(P4, twin) == {"if x + delta not in prev:"}
+    assert _probes_run(P4, goals) == {"child = prev.get(x + delta, floor)"}
     for n in range(1, 7):
         for g in connected_graphs(n):
             shared = pebbling_values(g, goals)
             single = [pebbling_value(g, goal) for goal in goals]
             assert list(map(_verdict, shared)) == list(map(_verdict, single))
+            for budget in (None, 0, 1, 5, 37, 200):
+                assert pebbling_values(g, twin, budget=budget) == [
+                    pebbling_value(g, goal, budget=budget) for goal in twin]
             for budget in (0, 1, 5, 37, 200):
                 pairs = zip(
                     shared + single,
@@ -621,6 +654,14 @@ def test_pebbling_values_match_single_goal_scans():
                         assert rep.status == "budget"
                         assert rep.checked == budget + 1
                         assert rep.value <= exact.value
+    # The smallest omega is psi's, so psi's one-goal scan has the shared
+    # scan's candidates and equals its psi report, ``checked`` included.
+    for kind, params in (("path", (6,)), ("binary-tree", (2,)),
+                         ("tail-clique", (2, 4))):
+        g = generate(FamilySpec(kind, params))
+        for budget in (None, 0, 1, 5, 37, 200):
+            assert pebbling_value(g, DOMINATION, budget=budget) == \
+                pebbling_values(g, goals, budget=budget)[0]
     with pytest.raises(ValueError, match="cannot share"):  # cover scans alone
         pebbling_values(P4, (DOMINATION, FULL_COVER))
     with pytest.raises(ValueError, match="at least one goal"):
