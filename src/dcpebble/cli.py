@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omega for the subversion number")
     p.add_argument("--budget", type=_non_negative,
                    help="max candidate configurations the value scan "
-                        "scores before giving up")
+                        "enumerates before giving up")
     p.add_argument("--cap", type=_non_negative,
                    help="size cap for the ascending scan (default: proven bound)")
     p.add_argument("--brute", action="store_true",
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated omegas to evaluate, e.g. 1,2")
     p.add_argument("--budget", type=_non_negative,
                    help="per-scan budget of candidate configurations "
-                        "scored; exhaustion marks the record unknown")
+                        "enumerated; exhaustion marks the record unknown")
     p.add_argument("--jobs", type=_non_negative, default=1, metavar="N",
                    help="at most N workers, never more than the CPUs or graphs")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -460,29 +460,34 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     away, in the previous level.  A level keeps the scores above the least
     omega asked for, and a goal's value is the first size with none above
     its omega; its witness is the colex-last one of the size before, the
-    largest such packed int (see :class:`_Packing`).  A pebble never
-    raises a score, so only the upper shadow of a level (those whose every
-    neighbour one pebble smaller was kept) is scored.  When every goal
+    largest such packed int (see :class:`_Packing`).  When every goal
     asks for the same omega, a kept score is only ever compared with that
     omega, so a candidate is kept iff its support score is above it and
     every child is in the previous level, and the level holds the support
     score in place of the score: each move is probed by membership alone,
     up to the first child not kept.
 
+    The candidates of level k are c + e_v for a kept c of level k - 1 and
+    v at or above c's highest occupied vertex, each configuration once.
+    The probes alone decide them.  No configuration is missed: a pebble
+    never raises a score, so one that scores above the floor has its
+    colex parent x - e_top (one pebble fewer on its highest occupied
+    vertex) among the kept, and the score recurrence is exact by itself.
+
     Kept configurations are filed by pattern, ``occupied | sources << n``:
     the mask of the vertices holding a pebble and the top count bits of
-    those holding two.  A candidate is c + e_v for a kept c and v at or
-    above c's highest occupied vertex t; its pattern is c's with v added
-    to the occupied vertices if v > t, or to the sources if v = t.  So
-    three rows, each built once per scan, serve a pattern's candidates for
-    v: the units the shadow test removes (the pattern's own row, plus t's
-    unit if v > t); the support score, by occupied mask; and the legal
-    moves, by sources (:meth:`_Packing.legal`).
+    those holding two.  A candidate's pattern is c's with v added to the
+    occupied vertices if v is above c's top, or to the sources if v is
+    the top.  So two rows, each built once per scan and fetched once per
+    pattern and v, serve all its candidates: the support score, by
+    occupied mask, and the legal moves, by sources (:meth:`_Packing.legal`).
 
     Domination and subversion goals share a scan; cover scans alone.
-    ``checked`` counts scored candidates.  Once it exceeds ``budget``
-    every goal still open gets a ``"budget"`` report, and past ``cap``
-    (default :func:`default_cap`) a ``"cap"`` report.
+    ``checked`` counts every enumerated candidate: 1 for the empty
+    configuration plus, for each kept c, the n - top(c) candidates c + e_v.
+    Once it exceeds ``budget`` every goal still open gets a ``"budget"``
+    report with ``checked = budget + 1``, and past ``cap`` (default
+    :func:`default_cap`) a ``"cap"`` report.
     """
     if not goals:
         raise ValueError("pebbling_values needs at least one goal")
@@ -515,9 +520,8 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         return settle(0, "budget")
     score = 1 if cover else n  # g is one undominated component
     level = {0: score} if score > floor else {}
-    # kept configurations by pattern; by occupied mask: the support score,
-    # the shadow test's rows for v = t and v > t, and the top t (0 if none)
-    groups, masks = {0: [0]}, {0: (score, (), (), 0)}
+    # kept configurations by pattern; support scores by occupied mask
+    groups, scores = {0: [0]}, {0: score}
     for k in range(1, cap + 2):
         settle(k - 1, "exact", max(level.values(), default=floor))
         if not level:
@@ -527,57 +531,50 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
             break
         for pattern, group in filed.items():
             occ, src = pattern & full, pattern >> n
-            _, own, wider, top = masks[occ]
-            for v in range(top, n):
+            for v in range(max(occ.bit_length() - 1, 0), n):
+                checked += len(group)
+                if budget is not None and checked > budget:
+                    checked = budget + 1
+                    return settle(k, "budget")
                 bit = 1 << v
                 if occ & bit:  # v is the top and becomes a source
-                    occupied, sources, drop = occ, src | p.steps[v][0], own
+                    occupied, sources = occ, src | p.steps[v][0]
                 else:  # v joins the occupied vertices
-                    occupied, sources, drop = occ | bit, src, wider
-                unit, base, members = p.weights[v], None, None
+                    occupied, sources = occ | bit, src
+                base = scores.get(occupied)
+                if base is None:
+                    base = scores[occupied] = (
+                        int(occupied != full) if cover else
+                        max_undominated_component(g, occupied))
+                if base <= floor:
+                    continue
+                row = legal.get(sources)
+                if row is None:
+                    row = legal[sources] = p.legal(sources)
+                unit, members = p.weights[v], None
                 for c in group:
                     x = c + unit
-                    for d in drop:
-                        if x - d not in prev:
-                            break
+                    score = base
+                    # Probe moves by lowest source, then adjacency order,
+                    # until one leaves the kept set.
+                    if single:
+                        for delta, _ in row:
+                            if x + delta not in prev:
+                                score = floor
+                                break
                     else:
-                        checked += 1
-                        if budget is not None and checked > budget:
-                            return settle(k, "budget")
-                        if base is None:  # the first one of this pattern and v
-                            known = masks.get(occupied)
-                            if known is None:
-                                known = masks[occupied] = (
-                                    int(occupied != full) if cover else
-                                    max_undominated_component(g, occupied),
-                                    drop, drop + (unit,), v)
-                            base = known[0]
-                            if base > floor:
-                                row = legal.get(sources)
-                                if row is None:
-                                    row = legal[sources] = p.legal(sources)
-                        score = base
-                        if score > floor:
-                            # Probe moves by lowest source, then adjacency
-                            # order, until one leaves the kept set.
-                            if single:
-                                for delta, _ in row:
-                                    if x + delta not in prev:
-                                        score = floor
-                                        break
-                            else:
-                                for delta, _ in row:
-                                    child = prev.get(x + delta, floor)
-                                    if child < score:
-                                        score = child
-                                        if score <= floor:
-                                            break
-                            if score > floor:
-                                level[x] = score
-                                if members is None:
-                                    members = groups.setdefault(
-                                        occupied | sources << n, [])
-                                members.append(x)
+                        for delta, _ in row:
+                            child = prev.get(x + delta, floor)
+                            if child < score:
+                                score = child
+                                if score <= floor:
+                                    break
+                    if score > floor:
+                        level[x] = score
+                        if members is None:
+                            members = groups.setdefault(
+                                occupied | sources << n, [])
+                        members.append(x)
     return settle(cap + 1, "cap")
 
 

@@ -100,6 +100,15 @@ CASES = {
             for n in range(1, 7)),
         stderr=("graphs: 143  unknown: 0  min lambda/psi: 1",
                 "finding subversion_diam3_omega_1 on ELq?")),
+    "compute-psi-path-8": Case(
+        ("compute", "psi"), (cli.EXIT_OK,), stdin=("family", "path", "8"),
+        stdout=("psi = 73", "witness = 0,0,0,0,0,0,0,72",
+                "configurations checked = 264999")),
+    "compute-psi-path-8-budget": Case(
+        ("compute", "psi", "--budget", "264998"), (cli.EXIT_BUDGET,),
+        stdin=("family", "path", "8"),
+        stdout=("psi >= 73 (budget exhausted; value is a lower bound)",
+                "configurations checked = 264999")),
     "oracle-path-12": oracle("path", 12, 500, codes=(cli.EXIT_OK,),
                              stdout=("verdict: unsolvable",)),
     "oracle-path-10": oracle("path", 10, 300, codes=(cli.EXIT_OK,),

@@ -586,6 +586,12 @@ def test_level_scan_matches_reference(g, goal):
     witness = levels[-2][-1] if value else None
     rep = pebbling_value(g, goal)
     assert (rep.value, rep.witness, rep.status) == (value, witness, "exact")
+    # The empty configuration, then c + e_v for every kept c below the
+    # value and v at or above c's top vertex (0 for the empty one).
+    def top(c):
+        return max((v for v, k in enumerate(c) if k), default=0)
+    assert rep.checked == 1 + sum(g.n - top(c) for level in levels[:value]
+                                  for c in level)
     for k in range(value):
         capped = pebbling_value(g, goal, cap=k)
         assert (capped.value, capped.witness, capped.status) == \
@@ -673,7 +679,7 @@ def test_pebbling_values_match_single_goal_scans():
 # ---------------------------------------------------------------------------
 
 PINNED_SCAN = Pin(
-    1853, "f12662250d481e4fff5b4ffb812eedff083f10bc0dd0bd07a9d622f05cc1784f",
+    1853, "c0f5be4f4139a94671577810e649d2a49c2899c1a0f938df9fd92c2c5738ea44",
     {
         "1 domination": (4, "8763f7a26608"),
         "1 subversion(omega=1)": (4, "85cd9794964c"),
@@ -682,35 +688,35 @@ PINNED_SCAN = Pin(
         "2 domination": (4, "d7d331023d28"),
         "2 subversion(omega=1)": (4, "af1b805676bb"),
         "2 subversion(omega=2)": (4, "8e0d70cad213"),
-        "2 cover": (4, "9bb868e63987"),
+        "2 cover": (4, "64e7bf8a893a"),
         "3 domination": (8, "f248bcc48303"),
         "3 subversion(omega=1)": (8, "3355ccd38a1f"),
         "3 subversion(omega=2)": (8, "05789268f462"),
-        "3 cover": (8, "d063eb692c60"),
-        "4 domination": (24, "2def472584f1"),
+        "3 cover": (8, "ae60b3782b2e"),
+        "4 domination": (24, "57b370426861"),
         "4 subversion(omega=1)": (24, "a14c1b1d6503"),
         "4 subversion(omega=2)": (24, "a32ba13db31a"),
-        "4 cover": (24, "4c9219847b05"),
-        "5 domination": (84, "9bdb54009045"),
-        "5 subversion(omega=1)": (84, "9fcc80874040"),
+        "4 cover": (24, "d3956c46eb71"),
+        "5 domination": (84, "730c4156f15c"),
+        "5 subversion(omega=1)": (84, "384604d19182"),
         "5 subversion(omega=2)": (84, "280853d0dc75"),
-        "5 cover": (84, "b5342ce75e89"),
-        "6 domination": (448, "45ece9689853"),
-        "6 subversion(omega=1)": (448, "eaacb417c9a4"),
-        "6 subversion(omega=2)": (448, "28e5f17881a1"),
-        "path 7 domination": (1, "2fa691ed4e0b"),
-        "path 7 subversion(omega=1)": (1, "46ac53731bb8"),
-        "path 7 subversion(omega=2)": (1, "0ac2e2168f87"),
-        "binary-tree 2 domination": (1, "a7449d92f1b5"),
-        "binary-tree 2 subversion(omega=1)": (1, "4e39b590d3f6"),
-        "binary-tree 2 subversion(omega=2)": (1, "6953dabcb275"),
-        "tail-clique 2 4 domination": (1, "e7aacd631ce4"),
-        "tail-clique 2 4 subversion(omega=1)": (1, "9d7e853c1bef"),
-        "tail-clique 2 4 subversion(omega=2)": (1, "17126dcd957d"),
-        "cycle 9 domination": (1, "3ffa7ab53ef6"),
-        "cycle 9 subversion(omega=1)": (1, "5ac8925955b6"),
-        "cycle 9 subversion(omega=2)": (1, "e919b068044f"),
-        "tail-clique 2 3 cover": (1, "acf2d4e7dc5b"),
+        "5 cover": (84, "048f58efc2d0"),
+        "6 domination": (448, "4918753d84c9"),
+        "6 subversion(omega=1)": (448, "47a599bec2d8"),
+        "6 subversion(omega=2)": (448, "bb0e290c3571"),
+        "path 7 domination": (1, "8f93f1305fcc"),
+        "path 7 subversion(omega=1)": (1, "ccc09c4afdef"),
+        "path 7 subversion(omega=2)": (1, "08b0ee77ee14"),
+        "binary-tree 2 domination": (1, "561f5de46ea8"),
+        "binary-tree 2 subversion(omega=1)": (1, "61a6c222b08c"),
+        "binary-tree 2 subversion(omega=2)": (1, "ee407d5ffe40"),
+        "tail-clique 2 4 domination": (1, "07efffb41614"),
+        "tail-clique 2 4 subversion(omega=1)": (1, "d12061438486"),
+        "tail-clique 2 4 subversion(omega=2)": (1, "8e7af9dec6a1"),
+        "cycle 9 domination": (1, "e1ea8271e16d"),
+        "cycle 9 subversion(omega=1)": (1, "974b29a070ef"),
+        "cycle 9 subversion(omega=2)": (1, "ccbd26d451c5"),
+        "tail-clique 2 3 cover": (1, "c38c1049b209"),
     })
 
 
