@@ -164,12 +164,7 @@ def undominated_components(g: Graph, covered: Iterable[int]) -> list[int]:
     """Orders of the connected components of the subgraph induced by the
     vertices left undominated by ``covered``.  Sorted descending; empty
     when everything is dominated."""
-    return undominated_component_sizes(g, _vertex_mask(g, covered))
-
-
-def undominated_component_sizes(g: Graph, covered_mask: int) -> list[int]:
-    """Bitmask variant of :func:`undominated_components` (hot path)."""
-    undom = g.full_mask & ~dominated_mask(g, covered_mask)
+    undom = g.full_mask & ~dominated_mask(g, _vertex_mask(g, covered))
     sizes = []
     seen = 0
     while undom & ~seen:

@@ -108,6 +108,8 @@ class Goal:
     def __post_init__(self) -> None:
         if self.kind not in ("domination", "cover", "subversion"):
             raise ValueError(f"unknown goal kind {self.kind!r}")
+        if type(self.omega) is not int:  # as _check_counts: no bool, no float
+            raise ValueError(f"omega must be an int, got {self.omega!r}")
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
         if self.kind != "subversion" and self.omega != 0:

@@ -73,6 +73,9 @@ def test_goal_validation():
         Goal("domination", omega=1)
     with pytest.raises(ValueError):
         subversion(-1)
+    for omega in (1.5, 1.0, True):
+        with pytest.raises(ValueError):
+            Goal("subversion", omega)
 
 
 def test_subversion_zero_is_domination():
