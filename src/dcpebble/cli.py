@@ -83,9 +83,11 @@ class CliError(Exception):
 
 
 def _read(path: str | None) -> str:
-    """Text of the file ``path``, or of stdin when None: the one reader."""
+    """Text of the file ``path``, decoded as UTF-8 whatever the locale, or
+    of stdin when None: the one reader."""
     try:
-        return sys.stdin.read() if path is None else Path(path).read_text()
+        return (sys.stdin.read() if path is None
+                else Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(
             f"cannot read {'stdin' if path is None else path}: {exc}") from exc

@@ -377,6 +377,11 @@ class _Packing:
     :meth:`legal` lists the steps of one ``sources`` pattern; callers
     keep the tuples it builds in a dict by pattern, so a configuration
     finds its legal moves with one lookup.
+
+    Two callers share a packing through :func:`_packing`:
+    :func:`is_solvable` stores a configuration that fails the guard and
+    never expands it, and the level scan of :func:`pebbling_values` over
+    goals of one omega keeps such a candidate with no move probed.
     """
 
     def __init__(self, g: Graph, goal: Goal | None, bits: int):
@@ -460,19 +465,33 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     away, in the previous level.  A level keeps the scores above the least
     omega asked for, and a goal's value is the first size with none above
     its omega; its witness is the colex-last one of the size before, the
-    largest such packed int (see :class:`_Packing`).  When every goal
-    asks for the same omega, a kept score is only ever compared with that
-    omega, so a candidate is kept iff its support score is above it and
-    every child is in the previous level, and the level holds the support
-    score in place of the score: each move is probed by membership alone,
-    up to the first child not kept.
+    one with the largest count fields (see :class:`_Packing`).
 
     The candidates of level k are c + e_v for a kept c of level k - 1 and
     v at or above c's highest occupied vertex, each configuration once.
-    The probes alone decide them.  No configuration is missed: a pebble
+    Their move probes decide them.  No configuration is missed: a pebble
     never raises a score, so one that scores above the floor has its
     colex parent x - e_top (one pebble fewer on its highest occupied
     vertex) among the kept, and the score recurrence is exact by itself.
+
+    When every goal asks for the same omega, a kept score is only ever
+    compared with that omega, so the kept configurations of a level are
+    exactly its unsolvable ones, and a candidate is kept iff its support
+    score is above omega and every child is unsolvable.  Such a scan
+    packs with its goal's weight bounds, in the oracle's layout
+    (:func:`_packing`), and ``x & guard != guard`` proves ``x``
+    unsolvable: a move never raises a weight sum, and a configuration
+    that meets the goal weighs at least each target's need.  So a
+    candidate that fails a bound is kept with no move probed.  ``prev``
+    holds only the kept configurations that pass every bound, with their
+    support scores, so a child ``y`` is unsolvable iff it fails a bound
+    or is in ``prev``; each other candidate probes its moves that way,
+    up to the first solvable child.  Both tests are exact, so the kept
+    set, ``checked`` and every budget trip are those of the same scan
+    with no bound.  A level's emptiness and its witness come from its
+    pattern lists, which hold every kept configuration; the empty
+    configuration is ``p.base``.  A scan of several omegas packs no
+    bound: its candidates compare the children's scores.
 
     Kept configurations are filed by pattern, ``occupied | sources << n``:
     the mask of the vertices holding a pebble and the top count bits of
@@ -500,17 +519,22 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     cover = goals[0].kind == "cover"
     floor = min(goal.omega for goal in goals)
     single = all(goal.omega == floor for goal in goals)
-    n, full, p = g.n, g.full_mask, _packing(g, None, cap.bit_length())
+    n, full = g.n, g.full_mask
+    p = _packing(g, goals[0] if single else None, cap.bit_length())
+    guard, counts = p.guard, p.high | p.low
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
+    filed: dict[int, list[int]] = {}
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
-                last = max((x for x, s in prev.items() if s > goal.omega),
-                           default=None)
+                kept = ((x & counts for group in filed.values() for x in group)
+                        if single else
+                        (x for x, s in prev.items() if s > goal.omega))
+                last = max(kept, default=None)
                 witness = None if last is None else p.unpack(last)
                 reports[i] = NumberReport(value, witness, status, checked)
         return reports
@@ -518,14 +542,16 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     checked = 1  # level 0: the empty configuration, which has no moves
     if budget is not None and budget < 1:
         return settle(0, "budget")
-    score = 1 if cover else n  # g is one undominated component
-    level = {0: score} if score > floor else {}
+    score, x = 1 if cover else n, p.base  # g is one undominated component
     # kept configurations by pattern; support scores by occupied mask
-    groups, scores = {0: [0]}, {0: score}
+    groups = {0: [x]} if score > floor else {}
+    level = {x: score} if groups and x & guard == guard else {}
+    scores = {0: score}
     for k in range(1, cap + 2):
-        settle(k - 1, "exact", max(level.values(), default=floor))
-        if not level:
-            return reports
+        if not groups:
+            return settle(k - 1, "exact")
+        if not single:
+            settle(k - 1, "exact", max(level.values()))
         prev, filed, level, groups = level, groups, {}, {}
         if k > cap:
             break
@@ -552,29 +578,44 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                 if row is None:
                     row = legal[sources] = p.legal(sources)
                 unit, members = p.weights[v], None
-                for c in group:
-                    x = c + unit
-                    score = base
-                    # Probe moves by lowest source, then adjacency order,
-                    # until one leaves the kept set.
-                    if single:
-                        for delta, _ in row:
-                            if x + delta not in prev:
-                                score = floor
-                                break
-                    else:
+                # Probe moves by lowest source, then adjacency order,
+                # until one leaves the kept set.
+                if single:
+                    for c in group:
+                        x = c + unit
+                        if x & guard == guard:  # the bounds leave x open
+                            for delta, _ in row:
+                                y = x + delta
+                                if y & guard == guard and y not in prev:
+                                    break
+                            else:
+                                level[x] = base
+                                if members is None:
+                                    members = groups.setdefault(
+                                        occupied | sources << n, [])
+                                members.append(x)
+                            continue
+                        # the bounds prove x unsolvable: kept unprobed
+                        if members is None:
+                            members = groups.setdefault(
+                                occupied | sources << n, [])
+                        members.append(x)
+                else:
+                    for c in group:
+                        x = c + unit
+                        score = base
                         for delta, _ in row:
                             child = prev.get(x + delta, floor)
                             if child < score:
                                 score = child
                                 if score <= floor:
                                     break
-                    if score > floor:
-                        level[x] = score
-                        if members is None:
-                            members = groups.setdefault(
-                                occupied | sources << n, [])
-                        members.append(x)
+                        if score > floor:
+                            level[x] = score
+                            if members is None:
+                                members = groups.setdefault(
+                                    occupied | sources << n, [])
+                            members.append(x)
     return settle(cap + 1, "cap")
 
 

@@ -270,6 +270,11 @@ CASES = {
             ("compute psi --graph", "latin1.g6"),
             ("compute psi --graph", "latin1.el"),
             ("verify --graph k2.g6 --certificate", "latin1.json"))},
+    # Files are read as UTF-8 under any locale, here ASCII's.
+    "undecodable-file-posix-locale": refuse(
+        "compute psi --graph latin1.el", f"cannot read latin1.el: {UNREADABLE}",
+        env=(("LC_ALL", "POSIX"), ("PYTHONUTF8", "0"),
+             ("PYTHONCOERCECLOCALE", "0"))),
     "deep-certificate-file": refuse(
         "verify --certificate deep.json --graph k2.g6", DEEP),
     "deep-certificate-stdin": refuse("verify --certificate - --graph k2.g6",

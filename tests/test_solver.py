@@ -611,7 +611,7 @@ def _probes_run(g, goals):
     code = pebbling_values.__code__
     lines, first = inspect.getsourcelines(pebbling_values)
     probes = {first + i: line.strip() for i, line in enumerate(lines)
-              if "x + delta" in line}
+              if "in prev" in line or "prev.get(" in line}
     ran = set()
 
     def trace(frame, event, arg):
@@ -633,11 +633,13 @@ def _probes_run(g, goals):
 def test_pebbling_values_match_single_goal_scans():
     # The candidates of a shared scan depend on its smallest omega, so
     # only the verdicts agree with the one-goal scans, not ``checked``.
-    # Goals that all ask for one omega probe children by membership in the
-    # kept set; goals that differ compare the children's scores.
+    # Goals that all ask for one omega probe each child by its weight
+    # bounds and by membership in the kept set; goals that differ compare
+    # the children's scores.
     goals = (DOMINATION, subversion(1), subversion(2))
     twin = (DOMINATION, subversion(0))
-    assert _probes_run(P4, twin) == {"if x + delta not in prev:"}
+    assert _probes_run(P4, twin) == {
+        "if y & guard == guard and y not in prev:"}
     assert _probes_run(P4, goals) == {"child = prev.get(x + delta, floor)"}
     for n in range(1, 7):
         for g in connected_graphs(n):
@@ -672,6 +674,37 @@ def test_pebbling_values_match_single_goal_scans():
         pebbling_values(P4, (DOMINATION, FULL_COVER))
     with pytest.raises(ValueError, match="at least one goal"):
         pebbling_values(P4, ())
+
+
+def test_weight_bounds_change_no_scan_report(monkeypatch):
+    # A single-omega scan keeps a candidate that fails a weight bound of
+    # its goal without probing its moves.  The same scan on a packing
+    # with no bound probes every candidate, and must report the same.
+    def outcome(rep):
+        return rep.value, rep.witness, rep.status, rep.checked
+
+    scans = [(g, goal) for n in range(1, 7) for g in connected_graphs(n)
+             for goal in (DOMINATION, subversion(1), FULL_COVER)]
+    for kind, params, goal in (
+            ("binary-tree", (2,), DOMINATION), ("path", (6,), DOMINATION),
+            ("tail-clique", (2, 4), DOMINATION),
+            ("tail-clique", (2, 3), FULL_COVER), ("path", (8,), DOMINATION)):
+        g = generate(FamilySpec(kind, params))
+        assert _packing(g, goal, default_cap(g, goal).bit_length()).guard
+        scans.append((g, goal))
+    limits = [(None, budget) for budget in (None, 0, 5, 37, 200)]
+    limits += [(cap, None) for cap in (0, 1, 3)]
+
+    cases = [(g, goal, cap, budget)
+             for g, goal in scans for cap, budget in limits]
+    monkeypatch.setattr(solver, "_packing",
+                        lambda g, goal, bits: solver._Packing(g, None, bits))
+    unbounded = [outcome(pebbling_value(g, goal, cap, budget))
+                 for g, goal, cap, budget in cases]
+    monkeypatch.undo()
+    for (g, goal, cap, budget), want in zip(cases, unbounded):
+        assert outcome(pebbling_value(g, goal, cap, budget)) == want, (
+            emit_graph6(g), goal.describe(), cap, budget)
 
 
 # ---------------------------------------------------------------------------
