@@ -44,6 +44,8 @@ from .graphs import (
     read_edge_list,
 )
 from .harness import (
+    EXIT_FINDING,
+    EXIT_VIOLATION,
     emit_csv,
     emit_json,
     print_summary,
@@ -67,10 +69,9 @@ from .solver import (
     pebbling_value,
 )
 
+# EXIT_VIOLATION (2) and EXIT_FINDING (3) are the harness's, imported above.
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_VIOLATION = 2
-EXIT_FINDING = 3
 EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 EXIT_BUDGET = 75
@@ -83,10 +84,10 @@ class CliError(Exception):
 
 
 def _read(path: str | None) -> str:
-    """Text of the file ``path``, decoded as UTF-8 whatever the locale, or
-    of stdin when None: the one reader."""
+    """Text of the file ``path``, or of stdin when None, decoded as UTF-8
+    whatever the locale: the one reader."""
     try:
-        return (sys.stdin.read() if path is None
+        return (sys.stdin.buffer.read().decode("utf-8") if path is None
                 else Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(

@@ -199,13 +199,19 @@ def run_sweep(lines: list[str], omegas: tuple[int, ...] = (),
     return records, summary
 
 
+# A sweep's exit codes when it finds something; the CLI's too.
+EXIT_VIOLATION = 2
+EXIT_FINDING = 3
+
+
 def sweep_exit_code(summary: dict) -> int:
-    """0 clean, 2 on any proven-bound violation (suite failure), 3 on a
-    conjecture violation only (a finding)."""
+    """0 clean, EXIT_VIOLATION (2) on any proven-bound violation (suite
+    failure), EXIT_FINDING (3) on a conjecture violation only (a
+    finding)."""
     if summary["violations"]:
-        return 2
+        return EXIT_VIOLATION
     if summary["findings"]:
-        return 3
+        return EXIT_FINDING
     return 0
 
 

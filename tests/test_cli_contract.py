@@ -11,6 +11,7 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -111,6 +112,8 @@ def oracle(family: str, pebbles: int, *stdout, flags: str = "", **kw) -> Case:
 
 
 TOO_LARGE = "graph6 orders above 62 are not supported"
+POSIX = (("LC_ALL", "POSIX"), ("PYTHONUTF8", "0"),  # an ASCII locale
+         ("PYTHONCOERCECLOCALE", "0"))
 UNREADABLE = ("'utf-8' codec can't decode byte 0xff in position 0: "
               "invalid start byte")
 DEEP = ("bad certificate JSON: maximum recursion depth exceeded while "
@@ -135,8 +138,7 @@ SWEEP4 = (  # `sweep --omega 1` of order 4's graphs: stdout, then stderr
     "graphs: 6  unknown: 0  min lambda/psi: 3")
 CASES = {
     "undecodable-stdin": refuse(
-        "compute psi", f"cannot read stdin: {UNREADABLE}", stdin=b"\xff\xfe\n",
-        env=(("PYTHONIOENCODING", "utf-8"),)),
+        "compute psi", f"cannot read stdin: {UNREADABLE}", stdin=b"\xff\xfe\n"),
     "edge-list-100000": refuse("compute psi --graph path100000.el", TOO_LARGE,
                                capped=True),
     **{f"family-{kind}-{n}-{fmt}": refuse(
@@ -270,11 +272,13 @@ CASES = {
             ("compute psi --graph", "latin1.g6"),
             ("compute psi --graph", "latin1.el"),
             ("verify --graph k2.g6 --certificate", "latin1.json"))},
-    # Files are read as UTF-8 under any locale, here ASCII's.
+    # Files and stdin are read as UTF-8 under any locale.
     "undecodable-file-posix-locale": refuse(
         "compute psi --graph latin1.el", f"cannot read latin1.el: {UNREADABLE}",
-        env=(("LC_ALL", "POSIX"), ("PYTHONUTF8", "0"),
-             ("PYTHONCOERCECLOCALE", "0"))),
+        env=POSIX),
+    "undecodable-stdin-posix-locale": refuse(
+        "compute psi", f"cannot read stdin: {UNREADABLE}", stdin=b"\xff\xfe\n",
+        env=POSIX),
     "deep-certificate-file": refuse(
         "verify --certificate deep.json --graph k2.g6", DEEP),
     "deep-certificate-stdin": refuse("verify --certificate - --graph k2.g6",
@@ -391,10 +395,17 @@ def test_check_kills_the_session_on_timeout(tmp_path):
     with pytest.raises(AssertionError, match="timeout"):
         check(replace(MEETS, argv=("-c", spawn, str(pid)), timeout=2.0),
               tmp_path)
-    # Its pipes reached EOF, so the grandchild has exited: it is gone, or a
-    # zombie that its new parent has yet to reap.
-    try:
-        state = Path(f"/proc/{pid.read_text()}/stat").read_text()
-    except FileNotFoundError:
-        state = ") X"
-    assert state.rsplit(") ", 1)[1][0] in "ZX"
+    # The grandchild dies with its session: soon it is gone, or a zombie
+    # that its new parent has yet to reap.  Its pipes reach EOF before the
+    # kernel marks it a zombie, so its state is polled up to a deadline.
+    stat = Path(f"/proc/{pid.read_text()}/stat")
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            state = stat.read_text().rsplit(") ", 1)[1][0]
+        except (FileNotFoundError, ProcessLookupError):
+            state = "X"
+        if state in "ZX":
+            break
+        assert time.monotonic() < deadline, f"grandchild in state {state}"
+        time.sleep(0.01)

@@ -26,6 +26,8 @@ from dcpebble import families
 from dcpebble.cli import main
 from dcpebble.graphs import Graph
 from dcpebble.harness import (
+    EXIT_FINDING,
+    EXIT_VIOLATION,
     SweepRecord,
     analyze_graph,
     emit_csv,
@@ -174,13 +176,11 @@ def test_run_sweep_without_process_pools(monkeypatch):
 
 
 def test_sweep_exit_codes():
-    assert sweep_exit_code({"violations": [], "findings": []}) == 0
-    assert sweep_exit_code({"violations": [{"graph": "x", "check": "c"}],
-                            "findings": []}) == 2
-    assert sweep_exit_code({"violations": [],
-                            "findings": [{"graph": "x", "check": "c"}]}) == 3
-    # a violation dominates a finding
-    assert sweep_exit_code({"violations": [{}], "findings": [{}]}) == 2
+    # A violation dominates a finding.
+    found = [{"graph": "x", "check": "c"}]
+    assert [sweep_exit_code({"violations": v, "findings": f})
+            for v, f in (([], []), (found, []), ([], found), (found, found))
+            ] == [0, EXIT_VIOLATION, EXIT_FINDING, EXIT_VIOLATION]
     summary = {"graphs": 2, "unknown": 0, "min_ratio": "3",
                "violations": [{"graph": "A_", "check": "ratio_diam2"}],
                "findings": [{"graph": "ELq?",
@@ -228,7 +228,8 @@ def test_violation_embeds_replayable_witness():
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err

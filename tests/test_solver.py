@@ -1,4 +1,3 @@
-import inspect
 import sys
 from math import comb
 
@@ -606,41 +605,11 @@ def _verdict(rep):
     return rep.value, rep.witness, rep.status
 
 
-def _probes_run(g, goals):
-    """The probe lines of ``pebbling_values`` that ran in one scan."""
-    code = pebbling_values.__code__
-    lines, first = inspect.getsourcelines(pebbling_values)
-    probes = {first + i: line.strip() for i, line in enumerate(lines)
-              if "in prev" in line or "prev.get(" in line}
-    ran = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-        if event == "line" and frame.f_lineno in probes:
-            ran.add(probes[frame.f_lineno])
-        return trace
-
-    before = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        pebbling_values(g, goals)
-    finally:
-        sys.settrace(before)
-    return ran
-
-
 def test_pebbling_values_match_single_goal_scans():
     # The candidates of a shared scan depend on its smallest omega, so
     # only the verdicts agree with the one-goal scans, not ``checked``.
-    # Goals that all ask for one omega probe each child by its weight
-    # bounds and by membership in the kept set; goals that differ compare
-    # the children's scores.
     goals = (DOMINATION, subversion(1), subversion(2))
     twin = (DOMINATION, subversion(0))
-    assert _probes_run(P4, twin) == {
-        "if y & guard == guard and y not in prev:"}
-    assert _probes_run(P4, goals) == {"child = prev.get(x + delta, floor)"}
     for n in range(1, 7):
         for g in connected_graphs(n):
             shared = pebbling_values(g, goals)
@@ -676,43 +645,12 @@ def test_pebbling_values_match_single_goal_scans():
         pebbling_values(P4, ())
 
 
-def test_weight_bounds_change_no_scan_report(monkeypatch):
-    # A single-omega scan keeps a candidate that fails a weight bound of
-    # its goal without probing its moves.  The same scan on a packing
-    # with no bound probes every candidate, and must report the same.
-    def outcome(rep):
-        return rep.value, rep.witness, rep.status, rep.checked
-
-    scans = [(g, goal) for n in range(1, 7) for g in connected_graphs(n)
-             for goal in (DOMINATION, subversion(1), FULL_COVER)]
-    for kind, params, goal in (
-            ("binary-tree", (2,), DOMINATION), ("path", (6,), DOMINATION),
-            ("tail-clique", (2, 4), DOMINATION),
-            ("tail-clique", (2, 3), FULL_COVER), ("path", (8,), DOMINATION)):
-        g = generate(FamilySpec(kind, params))
-        assert _packing(g, goal, default_cap(g, goal).bit_length()).guard
-        scans.append((g, goal))
-    limits = [(None, budget) for budget in (None, 0, 5, 37, 200)]
-    limits += [(cap, None) for cap in (0, 1, 3)]
-
-    cases = [(g, goal, cap, budget)
-             for g, goal in scans for cap, budget in limits]
-    monkeypatch.setattr(solver, "_packing",
-                        lambda g, goal, bits: solver._Packing(g, None, bits))
-    unbounded = [outcome(pebbling_value(g, goal, cap, budget))
-                 for g, goal, cap, budget in cases]
-    monkeypatch.undo()
-    for (g, goal, cap, budget), want in zip(cases, unbounded):
-        assert outcome(pebbling_value(g, goal, cap, budget)) == want, (
-            emit_graph6(g), goal.describe(), cap, budget)
-
-
 # ---------------------------------------------------------------------------
 # scan outcomes pinned across refactors
 # ---------------------------------------------------------------------------
 
 PINNED_SCAN = Pin(
-    1853, "c0f5be4f4139a94671577810e649d2a49c2899c1a0f938df9fd92c2c5738ea44",
+    5325, "74b73bd90efa98891282feff13d2446dc8c343ce9d9a23d2ae7ca21dbb60bf59",
     {
         "1 domination": (4, "8763f7a26608"),
         "1 subversion(omega=1)": (4, "85cd9794964c"),
@@ -750,6 +688,29 @@ PINNED_SCAN = Pin(
         "cycle 9 subversion(omega=1)": (1, "974b29a070ef"),
         "cycle 9 subversion(omega=2)": (1, "ccbd26d451c5"),
         "tail-clique 2 3 cover": (1, "c38c1049b209"),
+        "single 1 domination": (8, "8973bb3349ea"),
+        "single 1 subversion(omega=1)": (8, "fca15cd35172"),
+        "single 1 cover": (8, "fefa689287a1"),
+        "single 2 domination": (8, "e75f2cba2a68"),
+        "single 2 subversion(omega=1)": (8, "d38d00370040"),
+        "single 2 cover": (8, "e635a351da96"),
+        "single 3 domination": (16, "e6c028ac3cc1"),
+        "single 3 subversion(omega=1)": (16, "1e77f10b22f2"),
+        "single 3 cover": (16, "31ee33bb0978"),
+        "single 4 domination": (48, "4e1279a479ca"),
+        "single 4 subversion(omega=1)": (48, "cc1a38bfebeb"),
+        "single 4 cover": (48, "4c8b22b5f3fe"),
+        "single 5 domination": (168, "5f20d893a696"),
+        "single 5 subversion(omega=1)": (168, "0c746799dcbb"),
+        "single 5 cover": (168, "216ed5040983"),
+        "single 6 domination": (896, "3d3ae952bb83"),
+        "single 6 subversion(omega=1)": (896, "a3ee9d385b7d"),
+        "single 6 cover": (896, "8eef3ff6ddce"),
+        "single binary-tree 2 domination": (8, "9dfa40afce4a"),
+        "single path 6 domination": (8, "f5728c6371fc"),
+        "single tail-clique 2 4 domination": (8, "c5ffaf8d8ed9"),
+        "single tail-clique 2 3 cover": (8, "f04accf05d53"),
+        "single path 8 domination": (8, "2854edd54e72"),
     })
 
 
@@ -758,7 +719,11 @@ def scan_outcomes():
     corpus up to order 6 for domination and omega = 1, 2 in one scan, and
     up to order 5 for cover, unlimited, at budgets 7 and 40 and at cap 3;
     then the shared scan of four named families and brute lambda of
-    tail-clique 2 3.  Bucketed by corpus order or family, and goal."""
+    tail-clique 2 3.  Bucketed by corpus order or family, and goal.
+    Last, in buckets named ``single ...``, the one-goal scans that pack
+    with their goal's weight bounds: psi, Omega_1 and brute lambda on the
+    corpus up to order 6, and the five graphs of perfbench's ``families``,
+    unlimited, at budgets 0, 5, 37 and 200 and at caps 0, 1 and 3."""
     def outcome(rep):
         return rep.value, rep.witness, rep.status, rep.checked
 
@@ -782,15 +747,28 @@ def scan_outcomes():
     rep = pebbling_value(tail_clique(2, 3), FULL_COVER)
     bucket = f"tail-clique 2 3 {FULL_COVER.describe()}"
     yield bucket, f"{bucket} {outcome(rep)}\n"
+    singles = [(n, line, g, goal) for n in range(1, 7)
+               for line, g in zip(connected_graph6_lines(n),
+                                  connected_graphs(n))
+               for goal in (DOMINATION, subversion(1), FULL_COVER)]
+    singles += [(name, name, g, goal) for name, g, goal in (
+        ("binary-tree 2", binary_tree(2), DOMINATION),
+        ("path 6", path(6), DOMINATION),
+        ("tail-clique 2 4", tail_clique(2, 4), DOMINATION),
+        ("tail-clique 2 3", tail_clique(2, 3), FULL_COVER),
+        ("path 8", path(8), DOMINATION))]
+    limits = ([(None, budget) for budget in (None, 0, 5, 37, 200)]
+              + [(cap, None) for cap in (0, 1, 3)])
+    for where, name, g, goal in singles:
+        for cap, budget in limits:
+            rep = pebbling_value(g, goal, cap, budget)
+            yield (f"single {where} {goal.describe()}",
+                   f"{name} {goal.describe()} {cap} {budget} "
+                   f"{outcome(rep)}\n")
 
 
 def test_scan_outcomes_pinned():
     check_pin(scan_outcomes(), PINNED_SCAN)
-
-
-def test_psi_path8_exact_within_budget():
-    rep = pebbling_value(path(8), DOMINATION, budget=1_000_000)
-    assert _verdict(rep) == (73, (0,) * 7 + (72,), "exact")
 
 
 def test_full_enumeration_budget_suffices():
