@@ -71,11 +71,16 @@ def check(case: Case, tmp_path: Path) -> bytes:
         (tmp_path / name).write_bytes(FILES[name])
     limit = ((lambda: resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP)))
              if case.capped else None)
+    # src first, then the caller's path: the pin dump imports pytest, which
+    # may be importable only through it
+    path = (str(ROOT / "src"),
+            *os.environ.get("PYTHONPATH", "").split(os.pathsep))
     with subprocess.Popen(
             (*case.command, *argv), stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
             start_new_session=True, preexec_fn=limit,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(filter(None, path)),
                  "PYTHONDONTWRITEBYTECODE": "",
                  "PYTHONPYCACHEPREFIX": str(tmp_path.parent / "pycache"),
                  **dict(case.env)}) as proc:

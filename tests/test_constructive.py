@@ -36,6 +36,7 @@ from dcpebble import (
     verify_certificate,
 )
 from dcpebble import constructive
+from dcpebble.graphs import dominated_mask, support_mask
 from dcpebble.pebbling import replay_moves
 from dcpebble.solver import configurations
 from pins import Pin, check_pin
@@ -151,30 +152,9 @@ def test_spread_rejects_small_configuration():
         spread_diameter2(k5, (2, 0, 0, 0, 0))  # threshold is 3
 
 
-def test_spread_exhaustive_small(diam2_upto6):
-    checked = 0
-    for g in diam2_upto6:
-        m = g.min_degree()
-        if not m > -(-(g.n - 1) // 2):
-            continue
-        threshold = (4 * g.n - 2 * m - 3) // 3
-        for c in configurations(g.n, threshold):
-            cert = spread_diameter2(g, c)
-            assert verify_certificate(g, cert, DOMINATION).ok, (g, c)
-            checked += 1
-    assert checked > 300
-
-
 # ---------------------------------------------------------------------------
 # diameter d >= 3 solver
 # ---------------------------------------------------------------------------
-
-def test_diamd_p4_exhaustive_with_invariants():
-    for c in configurations(4, 5):
-        cert = solve_diameter_d(P4, c, check_invariants=True)
-        assert verify_certificate(P4, cert, DOMINATION).ok, c
-        assert len(cert.moves) <= 5
-
 
 def test_diamd_tail_clique_stack():
     g = tail_clique(2, 3)
@@ -200,18 +180,6 @@ def random_diamd_graphs(rng):
     """Twelve seeded random graphs of orders 6-8 and diameter 3 or 4."""
     return [random_connected_graph(order, rng, diameter_range=(3, 4))
             for order in (6, 7, 8) for _ in range(4)]
-
-
-def test_diamd_randomized_suite():
-    rng = random.Random(20240917)
-    graphs = random_diamd_graphs(rng)
-    assert len(graphs) >= 12
-    for g in graphs:
-        threshold = (1 << (g.diameter - 2)) * (g.n - 2) + 1
-        for _ in range(25):
-            c = random_configuration(g.n, threshold, rng)
-            cert = solve_diameter_d(g, c, check_invariants=True)
-            assert verify_certificate(g, cert, DOMINATION).ok, (g, c)
 
 
 def test_state_checker_flags_corruption():
@@ -380,19 +348,6 @@ def test_subversion_preconditions():
         solve_subversion_diameter2(P4, (1, 1, 1, 0), 1)  # diameter 3
 
 
-def test_subversion_exhaustive_small(diam2_upto5):
-    for g in diam2_upto5:
-        for omega in (1, 2):
-            if omega > g.n - 2:
-                continue
-            for c in configurations(g.n, g.n - 1 - omega):
-                cert = solve_subversion_diameter2(g, c, omega)
-                final = cert.replay(g)
-                undominated = g.n - len(dominated_vertices(g, support(final)))
-                assert undominated <= omega, (g, omega, c)
-                assert verify_certificate(g, cert, subversion(omega)).ok
-
-
 def test_subversion_linked_star_tight():
     # the linked-leaf star needs every one of its n-1-omega pebbles
     h = star_with_leaf_path(9, 1)
@@ -450,25 +405,41 @@ PINNED_OUTCOMES_DIAM2_ORDER6 = Pin(
         "subv2 6": (53760, "5cd1cec05373"),
     })
 
+# Each solver with the goal its certificates must meet.
 SOLVERS = (
-    ("diam2", solve_diameter2),
-    ("spread", spread_diameter2),
-    ("diamd", solve_diameter_d),
-    ("diamd_noinv", lambda g, c: solve_diameter_d(g, c, False)),
-    ("subv1", lambda g, c: solve_subversion_diameter2(g, c, 1)),
-    ("subv2", lambda g, c: solve_subversion_diameter2(g, c, 2)),
+    ("diam2", solve_diameter2, DOMINATION),
+    ("spread", spread_diameter2, DOMINATION),
+    ("diamd", solve_diameter_d, DOMINATION),
+    ("diamd_noinv", lambda g, c: solve_diameter_d(g, c, False), DOMINATION),
+    ("subv1", lambda g, c: solve_subversion_diameter2(g, c, 1),
+     subversion(1)),
+    ("subv2", lambda g, c: solve_subversion_diameter2(g, c, 2),
+     subversion(2)),
 )
 DIAM2_SOLVERS = tuple(s for s in SOLVERS
                       if s[0] in ("diam2", "spread", "subv1", "subv2"))
 
 
+def check_certificate(g, cert, goal, name):
+    """Assert that the independent verifier accepts ``cert`` for ``goal``
+    on ``g``, and that a subversion certificate leaves at most
+    ``goal.omega`` vertices undominated in all: the subversion solver's
+    promise, stronger than its goal.  A failure names ``g`` by ``name``."""
+    res = verify_certificate(g, cert, goal)
+    assert res.ok, (name, cert.initial, res.reason, res.failed_step)
+    if goal.omega:
+        dominated = dominated_mask(g, support_mask(res.final)).bit_count()
+        assert g.n - dominated <= goal.omega, (name, cert.initial, dominated)
+
+
 def solver_outcomes(orders, solvers, max_diameter=None):
     """Every outcome of ``solvers`` on the corpus graphs of the given
     orders (of diameter at most ``max_diameter``, if given): the
-    certificate's ``(initial, moves)``, or the exception's type and
-    message.  Each solver runs at every size in n-1, n, n-1-omega
-    (omega = 1, 2) and 2^(d-2)(n-2)+1, so precondition failures are pinned
-    too.  Bucketed by solver and order."""
+    certificate's ``(initial, moves)``, each checked by
+    :func:`check_certificate`, or the exception's type and message.  Each
+    solver runs at every size in n-1, n, n-1-omega (omega = 1, 2) and
+    2^(d-2)(n-2)+1, so precondition failures are pinned too.  Bucketed by
+    solver and order."""
     for n in orders:
         for line, g in zip(connected_graph6_lines(n), connected_graphs(n)):
             if max_diameter is not None and g.diameter > max_diameter:
@@ -478,13 +449,15 @@ def solver_outcomes(orders, solvers, max_diameter=None):
                 sizes.add((1 << (g.diameter - 2)) * (n - 2) + 1)
             for size in sorted(s for s in sizes if s >= 0):
                 for c in configurations(n, size):
-                    for name, solve in solvers:
+                    for name, solve, goal in solvers:
                         try:
                             cert = solve(g, c)
-                            out = (cert.initial, cert.moves)
                         except (PebblingError, PreconditionError,
                                 InvariantViolation) as exc:
                             out = (type(exc).__name__, str(exc))
+                        else:
+                            check_certificate(g, cert, goal, line)
+                            out = (cert.initial, cert.moves)
                         yield f"{name} {n}", f"{name} {line} {c} {out}\n"
 
 
@@ -572,6 +545,7 @@ def diamd_outcomes():
                 c = random_configuration(g.n, threshold, rng)
                 for invariants in (True, False):
                     cert = solve_diameter_d(g, c, invariants)
+                    check_certificate(g, cert, DOMINATION, label)
                     rows.append((label, f"cert {emit_graph6(g)} {invariants} "
                                         f"{cert.initial} {cert.moves}\n"))
     return rows
@@ -617,6 +591,7 @@ def spread_outcomes():
                 for c in (random_configuration(g.n, size, rng),
                           tuple(stacked)):
                     cert = spread_diameter2(g, c)
+                    check_certificate(g, cert, DOMINATION, family)
                     yield family, (f"{emit_graph6(g)} {cert.initial} "
                                    f"{cert.moves}\n")
 

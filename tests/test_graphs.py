@@ -87,11 +87,6 @@ def test_dominated_vertices_monotone():
                 assert dom <= dominated_vertices(g, cov | {extra})
 
 
-def test_undominated_components_all_covered():
-    for g in connected_graphs(5)[:5]:
-        assert undominated_components(g, range(g.n)) == []
-
-
 def test_undominated_components_wheel():
     # hub + 6-cycle: two adjacent covered rim vertices leave a 2-arc
     assert undominated_components(wheel(6), {1, 2}) == [2]
