@@ -372,11 +372,25 @@ def weigh(row, s):
 
 
 @pytest.mark.parametrize("goal", NEED_GOALS, ids=lambda goal: goal.describe())
+def test_targets_sound(goal):
+    # Every target's weights at most double along an edge, so no move
+    # raises a weight sum, and every vertex set that meets the goal (one
+    # pebble a vertex) weighs at least the target's need.
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            meets = [s for s in range(1 << n) if satisfies_mask(g, s, goal)]
+            for row, need in _targets(g, goal):
+                for u, v in g.edges:
+                    assert row[v] <= 2 * row[u] and row[u] <= 2 * row[v]
+                for s in meets:
+                    assert weigh(row, s) >= need, (g, row, need, s)
+
+
+@pytest.mark.parametrize("goal", NEED_GOALS, ids=lambda goal: goal.describe())
 def test_targets_need_least_goal_meeting_weight(goal):
     # A target's need is the least weight of any goal-meeting vertex set
     # (one pebble a vertex); weights are positive, so an inclusion-minimal
-    # one attains it.  Its weights at most double along an edge, so no
-    # move raises a weight sum.
+    # one attains it.
     for g in need_graphs():
         meets = {s for s in range(1 << g.n) if satisfies_mask(g, s, goal)}
         minimal = [s for s in meets
@@ -384,8 +398,6 @@ def test_targets_need_least_goal_meeting_weight(goal):
                           if s >> v & 1)]
         for row, need in _targets(g, goal):
             assert min(row) > 0, (g, row)
-            for u, v in g.edges:
-                assert row[v] <= 2 * row[u] and row[u] <= 2 * row[v]
             assert need == min(weigh(row, s) for s in minimal), (g, row)
 
 
