@@ -367,6 +367,141 @@ def need_graphs():
         yield generate(FamilySpec(kind, params))
 
 
+# The graphs of the perfbench families workload.
+FAMILIES_WORKLOAD = (
+    ("binary-tree", (2,)), ("path", (6,)), ("tail-clique", (2, 4)),
+    ("tail-clique", (2, 3)), ("path", (8,)),
+)
+
+
+PINNED_TARGETS = Pin(
+    785, "5213dfc078b44ab0decea8e143671425a80275f553a9e06833264b519a2e53d2",
+    {
+        "1 domination": (1, "1257887eec41"),
+        "1 subversion(omega=1)": (1, "281e3a7ea0ef"),
+        "1 subversion(omega=2)": (1, "f6ee97025b45"),
+        "1 cover": (1, "bdcb92ae8e3e"),
+        "1 subversion(omega=3)": (1, "e9e3d135a8c7"),
+        "2 domination": (1, "a0a2192ffb4a"),
+        "2 subversion(omega=1)": (1, "f1f3d91721a5"),
+        "2 subversion(omega=2)": (1, "7234011e8622"),
+        "2 cover": (1, "4baee072632a"),
+        "2 subversion(omega=3)": (1, "6358bacd8949"),
+        "3 domination": (2, "0941e479256d"),
+        "3 subversion(omega=1)": (2, "4dfbceb77c71"),
+        "3 subversion(omega=2)": (2, "11f835d08fb6"),
+        "3 cover": (2, "9abf77b3ebfa"),
+        "3 subversion(omega=3)": (2, "844762b6d009"),
+        "4 domination": (6, "394975e3347d"),
+        "4 subversion(omega=1)": (6, "80b7ebee6206"),
+        "4 subversion(omega=2)": (6, "6bec91c7ee52"),
+        "4 cover": (6, "617d771dbcf3"),
+        "4 subversion(omega=3)": (6, "9216bcca81f3"),
+        "5 domination": (21, "fc23a63153b4"),
+        "5 subversion(omega=1)": (21, "9a3885097eb7"),
+        "5 subversion(omega=2)": (21, "df27689c8b0b"),
+        "5 cover": (21, "0c168f886c17"),
+        "5 subversion(omega=3)": (21, "0bd59cd4eae6"),
+        "6 domination": (112, "b682a1790d98"),
+        "6 subversion(omega=1)": (112, "3aabbcf2dac6"),
+        "6 subversion(omega=2)": (112, "f42beb9d7d44"),
+        "6 cover": (112, "78e09feb6f0f"),
+        "6 subversion(omega=3)": (112, "fc73d901f5b0"),
+        "path 7 domination": (1, "e3a472c85f7b"),
+        "path 7 subversion(omega=1)": (1, "3a0ac7135777"),
+        "path 7 subversion(omega=2)": (1, "b30a98b89e4e"),
+        "path 7 cover": (1, "130b51d58166"),
+        "path 7 subversion(omega=3)": (1, "541d31fbe274"),
+        "path 11 domination": (1, "21714ed59e35"),
+        "path 11 subversion(omega=1)": (1, "d54ba7f5cfa0"),
+        "path 11 subversion(omega=2)": (1, "5ad07a4d9388"),
+        "path 11 cover": (1, "5efa4880d77a"),
+        "path 11 subversion(omega=3)": (1, "8dc8cbc7e346"),
+        "cycle 9 domination": (1, "5bbb9d268794"),
+        "cycle 9 subversion(omega=1)": (1, "7b8a3bdaa783"),
+        "cycle 9 subversion(omega=2)": (1, "d0d8b2304492"),
+        "cycle 9 cover": (1, "385aeeadb95a"),
+        "cycle 9 subversion(omega=3)": (1, "e60f0f6c068a"),
+        "cycle 13 domination": (1, "2f151289a22b"),
+        "cycle 13 subversion(omega=1)": (1, "da45f13ba964"),
+        "cycle 13 subversion(omega=2)": (1, "16db1ca5e182"),
+        "cycle 13 cover": (1, "f6df542d37a1"),
+        "cycle 13 subversion(omega=3)": (1, "d753294fbe5f"),
+        "binary-tree 2 domination": (1, "b55e60370269"),
+        "binary-tree 2 subversion(omega=1)": (1, "3d62a6f9e5e9"),
+        "binary-tree 2 subversion(omega=2)": (1, "ecc715cae12b"),
+        "binary-tree 2 cover": (1, "a1161b622720"),
+        "binary-tree 2 subversion(omega=3)": (1, "87d841d53108"),
+        "tail-clique 2 4 domination": (1, "a92d016fd027"),
+        "tail-clique 2 4 subversion(omega=1)": (1, "0d0caca64f57"),
+        "tail-clique 2 4 subversion(omega=2)": (1, "bdad1e970010"),
+        "tail-clique 2 4 cover": (1, "24448c0e9c15"),
+        "tail-clique 2 4 subversion(omega=3)": (1, "380ea29e19eb"),
+        "tail-clique 3 3 domination": (1, "9dc74eac84da"),
+        "tail-clique 3 3 subversion(omega=1)": (1, "8a901565122e"),
+        "tail-clique 3 3 subversion(omega=2)": (1, "0d687fb94a5b"),
+        "tail-clique 3 3 cover": (1, "352c78ece130"),
+        "tail-clique 3 3 subversion(omega=3)": (1, "8889bfc2d298"),
+        "apex-pendant-clique 9 1 domination": (1, "30a7ecd6e010"),
+        "apex-pendant-clique 9 1 subversion(omega=1)": (1, "a0544fc91bc1"),
+        "apex-pendant-clique 9 1 subversion(omega=2)": (1, "de3cd0e78e4d"),
+        "apex-pendant-clique 9 1 cover": (1, "001bc681a74a"),
+        "apex-pendant-clique 9 1 subversion(omega=3)": (1, "616d9ac18e10"),
+        "star-leaf-path 10 2 domination": (1, "1bac8b0ab8be"),
+        "star-leaf-path 10 2 subversion(omega=1)": (1, "d5492947a8ce"),
+        "star-leaf-path 10 2 subversion(omega=2)": (1, "f7c98945d4c1"),
+        "star-leaf-path 10 2 cover": (1, "ee7d65bf7c4d"),
+        "star-leaf-path 10 2 subversion(omega=3)": (1, "1b34ee4eae50"),
+        "wheel 8 domination": (1, "eeb03b42d852"),
+        "wheel 8 subversion(omega=1)": (1, "8d163422aca6"),
+        "wheel 8 subversion(omega=2)": (1, "85bd27963e36"),
+        "wheel 8 cover": (1, "e038ef4b4917"),
+        "wheel 8 subversion(omega=3)": (1, "6fd249f443f3"),
+        "multipartite 2 3 4 domination": (1, "60df5505d77a"),
+        "multipartite 2 3 4 subversion(omega=1)": (1, "f6cf2321edfa"),
+        "multipartite 2 3 4 subversion(omega=2)": (1, "4d7726bd605d"),
+        "multipartite 2 3 4 cover": (1, "2610a2f427a5"),
+        "multipartite 2 3 4 subversion(omega=3)": (1, "61d0781d4a85"),
+        "path 6 domination": (1, "d670782b7f56"),
+        "path 6 subversion(omega=1)": (1, "1af215200c12"),
+        "path 6 subversion(omega=2)": (1, "4fe5c4de3930"),
+        "path 6 cover": (1, "a7468f4b9db9"),
+        "path 6 subversion(omega=3)": (1, "c29e22bc7f3e"),
+        "tail-clique 2 3 domination": (1, "f04432d977bd"),
+        "tail-clique 2 3 subversion(omega=1)": (1, "720bd2a9bf2a"),
+        "tail-clique 2 3 subversion(omega=2)": (1, "b0021c79733f"),
+        "tail-clique 2 3 cover": (1, "e079ef9f5703"),
+        "tail-clique 2 3 subversion(omega=3)": (1, "57259d7d0a63"),
+        "path 8 domination": (1, "443c9a048b8c"),
+        "path 8 subversion(omega=1)": (1, "f98647341180"),
+        "path 8 subversion(omega=2)": (1, "2fb07ccebe3c"),
+        "path 8 cover": (1, "fe8444f119f8"),
+        "path 8 subversion(omega=3)": (1, "9b0c02a863cf"),
+    })
+
+
+def targets_outcomes():
+    """``(row, need)`` of every target of ``_targets`` for each goal of
+    ``NEED_GOALS`` on the corpus up to order 6, the families of
+    ``need_graphs`` and the graphs of perfbench's ``families``, one row a
+    graph and goal.  Bucketed by corpus order or family, and goal."""
+    graphs = [(str(n), line, g) for n in range(1, 7)
+              for line, g in zip(connected_graph6_lines(n),
+                                 connected_graphs(n))]
+    for kind, params in dict.fromkeys(SOLVE_ORACLE_FAMILIES
+                                      + FAMILIES_WORKLOAD):
+        name = " ".join((kind, *map(str, params)))
+        graphs.append((name, name, generate(FamilySpec(kind, params))))
+    for where, name, g in graphs:
+        for goal in NEED_GOALS:
+            yield (f"{where} {goal.describe()}",
+                   f"{name} {goal.describe()} {_targets(g, goal)}\n")
+
+
+def test_targets_outcomes_pinned():
+    check_pin(targets_outcomes(), PINNED_TARGETS)
+
+
 def weigh(row, s):
     return sum(x for v, x in enumerate(row) if s >> v & 1)
 
