@@ -4,11 +4,8 @@ Subcommands: compute, solve, verify, sweep, family.  Graphs come from
 ``--graph FILE`` (graph6 for ``.g6`` files, edge-list text otherwise) or as
 graph6 lines on standard input.
 
-Exit codes: 0 success; 1 unexpected error or failed verification; 2 sweep
-found a proven-bound violation (suite failure); 3 sweep found a conjecture
-violation only (a finding); 64 unusable input, bad flags included; 65
-solver precondition not met; 75 budget or size cap exhausted before a
-decision.
+Exit codes are the ``EXIT_*`` constants below; the README's exit-code
+table lists what each one means.
 """
 
 from __future__ import annotations

@@ -204,8 +204,12 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
     spent keeps its greedy need, which is sound but may be lower.
 
     The targets are the requirement sets; every far side {v : dist(a, v)
-    >= r} of a vertex a, for r = 1 .. diam; and the union of any two
-    requirement sets at least max(2, diam - 1) apart.
+    >= r} of a vertex a, for r = 1 .. diam; and, under cover, every pair
+    of vertices at least max(2, diam - 1) apart, the union of two
+    requirement sets that far apart.  The other goals have no such union:
+    each of their requirement sets holds a closed neighbourhood N[x], and
+    N[x] and N[y] lie within max(0, dist(x, y) - 2) <= diam - 2 <
+    max(2, diam - 1) of each other.
     """
     n, top = g.n, g.diameter
     if goal.kind == "cover":
@@ -229,28 +233,16 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
             if all(m & mask != m for m in required):
                 required.append(mask)
 
-    def balls(mask: int, radius: int) -> list[int]:
-        """The vertices within distance 0, 1, .., ``radius`` of ``mask``;
-        each ball grows by the neighbours of the previous one's rim."""
-        out, rim = [mask], mask
-        for _ in range(radius):
-            grown = out[-1] | dominated_mask(g, rim)
-            rim = grown & ~out[-1]
-            out.append(grown)
-        return out
-
     targets = dict.fromkeys(required)
-    for a in range(n):
-        for near in balls(1 << a, top - 1):
-            far = g.full_mask & ~near
-            if far:
-                targets[far] = None
-    gap = max(2, top - 1)
-    for i, a in enumerate(required):
-        near = balls(a, gap - 1)[-1]
-        for b in required[i + 1:]:
-            if not b & near:
-                targets[a | b] = None
+    for dist in g.dist:
+        for r in range(1, max(dist) + 1):
+            targets[sum(1 << v for v, d in enumerate(dist) if d >= r)] = None
+    if goal.kind == "cover":
+        gap = max(2, top - 1)
+        for a, dist in enumerate(g.dist):
+            for b in range(a + 1, n):
+                if dist[b] >= gap:
+                    targets[1 << a | 1 << b] = None
 
     # Each requirement set as (mask, the bit of its index, its vertices);
     # hits[v] has the bits of the sets holding v.
@@ -335,15 +327,18 @@ def _targets(g: Graph, goal: Goal) -> list[tuple[list[int], int]]:
 
     built = []
     for mask in targets:
-        # Ball by ball from T: a vertex at distance d weighs 2^(diam - d).
-        row, inner = [0] * n, 0
-        for d, near in enumerate(balls(mask, top)):
-            weight, ring = 1 << top - d, near & ~inner
-            while ring:
-                low = ring & -ring
+        # Ring by ring from T: a vertex at distance d weighs 2^(diam - d),
+        # and the rings stop growing at weight 1.
+        row, near, ring, weight = [0] * n, mask, mask, 1 << top
+        while ring:
+            rim = ring
+            while rim:
+                low = rim & -rim
                 row[low.bit_length() - 1] = weight
-                ring ^= low
-            inner = near
+                rim ^= low
+            weight >>= 1
+            ring = dominated_mask(g, ring) & ~near if weight else 0
+            near |= ring
         built.append((row, sum(row) if goal.kind == "cover" else need(row)))
     return built
 

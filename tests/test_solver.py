@@ -506,6 +506,28 @@ def weigh(row, s):
     return sum(x for v, x in enumerate(row) if s >> v & 1)
 
 
+def requirement_sets(g, goal):
+    """The inclusion-minimal closed neighbourhoods of the connected
+    (omega + 1)-sets, or the singletons under cover, in order of size,
+    then mask, derived from every vertex subset."""
+    if goal.kind == "cover":
+        return [1 << v for v in range(g.n)]
+
+    def connected(c):
+        seen = c & -c
+        while True:
+            grown = seen | dominated_mask(g, seen) & c
+            if grown == seen:
+                return seen == c
+            seen = grown
+
+    sets = {dominated_mask(g, c) for c in range(1 << g.n)
+            if c.bit_count() == goal.omega + 1 and connected(c)}
+    return sorted((m for m in sets
+                   if not any(o != m and o & m == o for o in sets)),
+                  key=lambda m: (m.bit_count(), m))
+
+
 @pytest.mark.parametrize("goal", NEED_GOALS, ids=lambda goal: goal.describe())
 def test_targets_sound(goal):
     # Every target's weights at most double along an edge, so no move
@@ -519,6 +541,19 @@ def test_targets_sound(goal):
                     assert row[v] <= 2 * row[u] and row[u] <= 2 * row[v]
                 for s in meets:
                     assert weigh(row, s) >= need, (g, row, need, s)
+    if goal.kind == "cover":
+        return
+    # Only cover has unions of requirement sets among its targets: for the
+    # other goals no two requirement sets are max(2, diam - 1) apart.
+    for g in need_graphs():
+        gap, sets = max(2, g.diameter - 1), requirement_sets(g, goal)
+        for i, a in enumerate(sets):
+            near = 0
+            for u in range(g.n):
+                if a >> u & 1:
+                    near |= sum(1 << v for v, d in enumerate(g.dist[u])
+                                if d < gap)
+            assert all(b & near for b in sets[i + 1:]), (g, a)
 
 
 @pytest.mark.parametrize("goal", NEED_GOALS, ids=lambda goal: goal.describe())
@@ -538,28 +573,10 @@ def test_targets_need_least_goal_meeting_weight(goal):
 
 def greedy_need(g, goal, row):
     """The lightest weights of pairwise disjoint requirement sets, taken
-    heaviest first: the inclusion-minimal closed neighbourhoods of the
-    connected (omega + 1)-sets, or the singletons under cover, in order of
-    size, then mask."""
-    if goal.kind == "cover":
-        return sum(row)
-
-    def connected(c):
-        seen = c & -c
-        while True:
-            grown = seen | dominated_mask(g, seen) & c
-            if grown == seen:
-                return seen == c
-            seen = grown
-
-    sets = {dominated_mask(g, c) for c in range(1 << g.n)
-            if c.bit_count() == goal.omega + 1 and connected(c)}
-    required = sorted((m for m in sets
-                       if not any(o != m and o & m == o for o in sets)),
-                      key=lambda m: (m.bit_count(), m))
+    heaviest first."""
     need = used = 0
     for light, m in sorted(((min(x for v, x in enumerate(row) if m >> v & 1),
-                             m) for m in required),
+                             m) for m in requirement_sets(g, goal)),
                            key=lambda pair: -pair[0]):
         if not m & used:
             need, used = need + light, used | m
