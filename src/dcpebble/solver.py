@@ -7,6 +7,7 @@ they are the reference every other computation is checked against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -376,7 +377,8 @@ class _Packing:
     Two callers share a packing through :func:`_packing`:
     :func:`is_solvable` stores a configuration that fails the guard and
     never expands it, and the level scan of :func:`pebbling_values` over
-    goals of one omega keeps such a candidate with no move probed.
+    goals of one omega keeps such a candidate with no move probed, and
+    reads the targets back (:meth:`targets`) to decide where it stops.
     """
 
     def __init__(self, g: Graph, goal: Goal | None, bits: int):
@@ -419,6 +421,21 @@ class _Packing:
                 mask |= bit
         return mask
 
+    def targets(self) -> list[tuple[list[int], int]]:
+        """Each target's ``(row, need)``, read back off ``weights`` and
+        ``base``: the slack fields start where the count fields end, and
+        the lowest guard bit is the first one's top bit."""
+        if not self.guard:
+            return []
+        shift = self.high.bit_length()
+        s = (self.guard & -self.guard).bit_length() - shift
+        mask, built = (1 << s) - 1, []
+        for _ in range(self.guard.bit_count()):
+            built.append(([x >> shift & mask for x in self.weights],
+                          (1 << s - 1) - (self.base >> shift & mask)))
+            shift += s
+        return built
+
     def pack(self, c: Sequence[int]) -> int:
         return self.base + sum(k * x for k, x in zip(c, self.weights) if k)
 
@@ -447,6 +464,99 @@ def default_cap(g: Graph, goal: Goal) -> int:
     if goal.kind == "cover":
         return lambda_stacking(g).value
     return psi_upper_bound(g.n, g.diameter) if g.n > 1 else 1
+
+
+def _tight_caps(g: Graph, targets: list[tuple[list[int], int]],
+                k: int) -> list[float]:
+    """M_k(u) for each vertex u: the most pebbles u can hold in a tight
+    configuration of k pebbles, one that meets every target's need while
+    each legal move's child falls below one (``inf`` if unbounded).
+
+    A move u -> v can drop T's weight sum below its need only if 2 w(u) >
+    w(v), and then only from a sum below need + 2 w(u) - w(v).  With m
+    pebbles on u and the other k - m weighing at least T's least weight
+    mu each, that needs m (w(u) - mu) < need + 2 w(u) - w(v) - k mu; a T
+    with w(u) = mu and a positive right-hand side leaves m unbounded.  So
+    u holds at most 1 pebble, or for every neighbour v the largest m that
+    some such T allows.  Each term falls as k grows, and an unbounded one
+    ends once its right-hand side is no longer positive.
+    """
+    inf, caps = float("inf"), []
+    bounds = [(row, need, min(row)) for row, need in targets]
+    for u in range(g.n):
+        most_u = inf
+        for v in g.adj[u]:
+            # The largest m that some target allows for the move u -> v.
+            # Once it reaches most_u, v cannot lower the minimum.
+            most_v = -1
+            for row, need, low in bounds:
+                w = row[u]
+                gap = 2 * w - row[v]
+                if gap > 0:
+                    room = need + gap - k * low
+                    if w > low:
+                        m = (room - 1) // (w - low)
+                        if m > most_v:
+                            most_v = m
+                            if m >= most_u:
+                                break
+                    elif room > 0:
+                        most_v = inf
+                        break
+            if most_v < most_u:
+                most_u = most_v
+                if most_u <= 1:
+                    break
+        caps.append(max(1, most_u))
+    return caps
+
+
+@lru_cache(maxsize=1024)
+def _stop(g: Graph, p: _Packing) -> tuple[float, int, list]:
+    """Where a scan packed as ``p``, with its goal's bounds, may stop:
+    ``(first, top, targets)``.  ``targets`` are p's, ``top`` is max_T
+    ceil(need_T / mu_T), and ``first`` the least size k in n < k <= top
+    with sum_u M_k(u) < k (:func:`_tight_caps`), or ``inf`` if there is
+    none.  That sum minus k falls as k grows, so a binary search finds
+    ``first``, and every size from ``first`` on passes.  p has a target.
+    Cached: one entry per packing that a scan tested, sized as
+    :func:`_packing`'s cache.
+    """
+    targets = p.targets()
+    top = max(-(-need // min(row)) for row, need in targets)
+    sizes = range(g.n + 1, top + 1)
+    i = bisect_left(sizes, True,
+                    key=lambda k: sum(_tight_caps(g, targets, k)) < k)
+    return (sizes[i] if i < len(sizes) else float("inf")), top, targets
+
+
+def _last_refuted(targets: list[tuple[list[int], int]], n: int,
+                  size: int) -> Configuration:
+    """The colex-last configuration of ``size`` pebbles that some target's
+    need refutes, found greedily from vertex n - 1: each vertex takes the
+    most pebbles that still leave some target refuted by its cheapest
+    completion, the rest of the pebbles on its lightest vertex below.
+    Such a configuration exists when size * mu < need for some target."""
+    counts, spent, rest = [0] * n, [0] * len(targets), size
+    for u in range(n - 1, 0, -1):
+        if not rest:
+            break
+        most = 0
+        for i, (row, need) in enumerate(targets):
+            below = min(row[:u])
+            # m pebbles on u are refuted iff m * step < room
+            step, room = row[u] - below, need - spent[i] - rest * below
+            if rest * step < room:
+                most = rest
+                break
+            if step > 0 and room > 0:
+                most = max(most, (room - 1) // step)
+        counts[u] = most
+        rest -= most
+        for i, (row, _) in enumerate(targets):
+            spent[i] += most * row[u]
+    counts[0] = rest
+    return tuple(counts)
 
 
 def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
@@ -481,12 +591,34 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     holds only the kept configurations that pass every bound, with their
     support scores, so a child ``y`` is unsolvable iff it fails a bound
     or is in ``prev``; each other candidate probes its moves that way,
-    up to the first solvable child.  Both tests are exact, so the kept
-    set, ``checked`` and every budget trip are those of the same scan
-    with no bound.  A level's emptiness and its witness come from its
-    pattern lists, which hold every kept configuration; the empty
-    configuration is ``p.base``.  A scan of several omegas packs no
-    bound: its candidates compare the children's scores.
+    up to the first solvable child.  Both tests are exact, so up to the
+    level where the scan stops, the kept set, ``checked`` and every
+    budget trip are those of the same scan with no bound.  A level's
+    emptiness and its witness come from its pattern lists, which hold
+    every kept configuration; the empty configuration is ``p.base``.  A
+    scan of several omegas packs no bound: its candidates compare the
+    children's scores.
+
+    Such a scan stops once the bounds decide every level left.  Call a
+    configuration tight if it passes every bound while each legal move's
+    child fails one.  An unsolvable x that passes every bound is tight,
+    or has a child that passes every bound; that child is unsolvable, so
+    x is a reverse move of a member of ``prev``'s level.  A tight
+    configuration of j pebbles holds at most M_j(u) pebbles on each
+    vertex u (:func:`_tight_caps`, from the same bounds), so there is
+    none when sum_u M_j(u) < j.  No M_j(u) rises with j, so once that
+    holds at a size k, it holds at every size from k on; it cannot hold
+    at k <= n, as each M_j(u) >= 1, and :func:`_stop` finds the least
+    such k once per packing.  So at the top of level k > n, with ``prev``
+    empty and sum_u M_k(u) < k, by induction every unsolvable
+    configuration of k - 1 pebbles or more fails a bound.  The scan
+    returns there with no further level.  Some configuration of j
+    pebbles fails target T's bound iff j mu_T < need_T, mu_T being T's
+    least weight, and level k - 1 holds one, so the value is top =
+    max_T ceil(need_T / mu_T) >= k, or ``cap + 1`` with status
+    ``"cap"`` when top > cap.  The witness is the colex-last
+    configuration of the size before that fails a bound
+    (:func:`_last_refuted`).
 
     Kept configurations are filed by pattern, ``occupied | sources << n``:
     the mask of the vertices holding a pebble and the top count bits of
@@ -497,8 +629,9 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     occupied mask, and the legal moves, by sources (:meth:`_Packing.legal`).
 
     Domination and subversion goals share a scan; cover scans alone.
-    ``checked`` counts every enumerated candidate: 1 for the empty
-    configuration plus, for each kept c, the n - top(c) candidates c + e_v.
+    ``checked`` counts the candidates of the levels the scan enumerates:
+    1 for the empty configuration plus, for each kept c of a level below
+    the last one enumerated, the n - top(c) candidates c + e_v.
     Once it exceeds ``budget`` every goal still open gets a ``"budget"``
     report with ``checked = budget + 1``, and past ``cap`` (default
     :func:`default_cap`) a ``"cap"`` report.
@@ -550,6 +683,14 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         prev, filed, level, groups = level, groups, {}, {}
         if k > cap:
             break
+        if single and not prev and k > n:
+            first, top, targets = _stop(g, p)
+            if k >= first:
+                value, status = (top, "exact") if top <= cap else (
+                    cap + 1, "cap")
+                witness = _last_refuted(targets, n, value - 1)
+                return [NumberReport(value, witness, status, checked)
+                        for _ in goals]
         for pattern, group in filed.items():
             occ, src = pattern & full, pattern >> n
             for v in range(max(occ.bit_length() - 1, 0), n):

@@ -157,11 +157,11 @@ CASES = {
             "finding subversion_diam3_omega_1 on ELq?")),
     "compute-psi-path-8": run(
         "compute psi", "psi = 73", "witness = 0,0,0,0,0,0,0,72",
-        "configurations checked = 264999", stdin=("family", "path", "8")),
+        "configurations checked = 102687", stdin=("family", "path", "8")),
     "compute-psi-path-8-budget": run(
-        "compute psi --budget 264998",
-        "psi >= 73 (budget exhausted; value is a lower bound)",
-        "witness = 0,0,0,0,0,0,0,72", "configurations checked = 264999",
+        "compute psi --budget 102686",
+        "psi >= 21 (budget exhausted; value is a lower bound)",
+        "witness = 0,0,0,0,0,0,0,20", "configurations checked = 102687",
         stdin=("family", "path", "8"), code=cli.EXIT_BUDGET),
     "oracle-path-12": oracle("path 12", 500, ..., "verdict: unsolvable"),
     "oracle-path-10": oracle("path 10", 300, ..., SOLVED, timeout=10.0),

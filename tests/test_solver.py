@@ -32,7 +32,13 @@ from dcpebble import (
 from dcpebble import solver
 from dcpebble.graphs import dominated_mask
 from dcpebble.pebbling import satisfies_mask
-from dcpebble.solver import _packing, _targets, configurations, default_cap
+from dcpebble.solver import (
+    _packing,
+    _targets,
+    _tight_caps,
+    configurations,
+    default_cap,
+)
 from pins import Pin, check_pin
 
 
@@ -737,16 +743,104 @@ def test_level_scan_matches_reference(g, goal):
     witness = levels[-2][-1] if value else None
     rep = pebbling_value(g, goal)
     assert (rep.value, rep.witness, rep.status) == (value, witness, "exact")
-    # The empty configuration, then c + e_v for every kept c below the
-    # value and v at or above c's top vertex (0 for the empty one).
+    # The empty configuration, then c + e_v for every kept c of the levels
+    # the scan extended and v at or above c's top vertex (0 for the empty
+    # one).  It extends a prefix of the levels, and every level after it
+    # holds only configurations that fail a bound.
     def top(c):
         return max((v for v, k in enumerate(c) if k), default=0)
-    assert rep.checked == 1 + sum(g.n - top(c) for level in levels[:value]
-                                  for c in level)
+    counts = [1]
+    for level in levels[:value]:
+        counts.append(counts[-1] + sum(g.n - top(c) for c in level))
+    extended = counts.index(rep.checked)
+    assert all(refuted(g, c, goal) for level in levels[extended:]
+               for c in level)
     for k in range(value):
         capped = pebbling_value(g, goal, cap=k)
         assert (capped.value, capped.witness, capped.status) == \
             (k + 1, levels[k][-1], "cap")
+
+
+def tight_configurations(g, targets, k):
+    """Every configuration of k pebbles that meets every target's need
+    while each legal move's child falls below some need, found depth first
+    from vertex n - 1 down.  A branch ends once some need is out of reach
+    with the pebbles left, or once a vertex holding two pebbles has a move
+    that no target could still refute, even with the pebbles left on the
+    lightest vertex below."""
+    n = g.n
+    lightest = [[min(row[:u], default=0) for u in range(n)]
+                for row, _ in targets]
+    heaviest = [[max(row[:u], default=0) for u in range(n)]
+                for row, _ in targets]
+    counts = [0] * n
+
+    def refutable(spent, rest, u, v):
+        return any(s + rest * light[u] < need + 2 * row[u] - row[v]
+                   for s, light, (row, need) in zip(spent, lightest, targets))
+
+    def search(u, rest, spent):
+        for m in range(rest + 1) if u else (rest,):
+            got = [s + m * row[u] for s, (row, _) in zip(spent, targets)]
+            left = rest - m
+            if any(s + left * heavy[u] < need for s, heavy, (_, need)
+                   in zip(got, heaviest, targets)):
+                continue
+            if m >= 2 and not all(refutable(got, left, u, v)
+                                  for v in g.adj[u]):
+                continue
+            counts[u] = m
+            if u:
+                yield from search(u - 1, left, got)
+            elif all(refutable(got, 0, a, b) for a in range(n)
+                     if counts[a] >= 2 for b in g.adj[a]):
+                yield tuple(counts)
+        counts[u] = 0
+
+    yield from search(n - 1, k, [0] * len(targets))
+
+
+@pytest.mark.parametrize("goal", (DOMINATION, subversion(1), FULL_COVER),
+                         ids=lambda goal: goal.describe())
+def test_tight_caps_sound(goal):
+    # A tight configuration of k pebbles, one that passes every bound while
+    # each legal move's child fails one, holds at most M_k(u) pebbles on
+    # each vertex u, so sum_u M_k(u) >= k wherever one exists: the premise
+    # of the single-omega scan's stop.  The scan tests k > n only, and past
+    # top = max ceil(need / least weight) every child passes every bound,
+    # so n < k <= top covers every size it relies on.  The graphs: the
+    # corpus (cover to order 5), and those of perfbench's families but
+    # path(8), whose psi sizes 9..73 this search does not finish in 20 s;
+    # for cover, only tail-clique(2, 3), the one families scans for cover.
+    cover = goal.kind == "cover"
+    graphs = [g for n in range(1, 6 if cover else 7)
+              for g in connected_graphs(n)]
+    graphs += [generate(FamilySpec(kind, params))
+               for kind, params in FAMILIES_WORKLOAD
+               if (kind == "tail-clique" and params == (2, 3)
+                   or not cover and params != (8,))]
+    # No M_k(u) rises with k, which lets ``_stop`` find the first size
+    # with sum_u M_k(u) < k by binary search; it must be the first here.
+    found = 0
+    for g in graphs:
+        targets = _targets(g, goal)
+        if not targets:
+            continue
+        top = max(-(-need // min(row)) for row, need in targets)
+        last, first = [float("inf")] * g.n, float("inf")
+        for k in range(g.n + 1, top + 1):
+            caps = _tight_caps(g, targets, k)
+            assert all(m <= was for m, was in zip(caps, last)), (g, k)
+            last = caps
+            if sum(caps) < k:
+                first = min(first, k)
+            for c in tight_configurations(g, targets, k):
+                assert all(x <= m for x, m in zip(c, caps)), (g, c, caps)
+                found += 1
+        p = _packing(g, goal, top.bit_length())
+        assert solver._stop(g, p) == (first, top, targets), g
+    if cover:  # psi and Omega_1 have no tight configuration here
+        assert found
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +878,19 @@ def test_pebbling_values_match_single_goal_scans():
                         assert rep.checked == budget + 1
                         assert rep.value <= exact.value
     # The smallest omega is psi's, so psi's one-goal scan has the shared
-    # scan's candidates and equals its psi report, ``checked`` included.
+    # scan's candidates up to where the bounds stop it, which the shared
+    # scan, packing no bound, never does.  So the psi reports agree in
+    # verdict, and in full at every budget that trips below the stop: up
+    # to checked - 1 of the unlimited one-goal scan.
     for kind, params in (("path", (6,)), ("binary-tree", (2,)),
                          ("tail-clique", (2, 4))):
         g = generate(FamilySpec(kind, params))
-        for budget in (None, 0, 1, 5, 37, 200):
-            assert pebbling_value(g, DOMINATION, budget=budget) == \
-                pebbling_values(g, goals, budget=budget)[0]
+        full = pebbling_value(g, DOMINATION)
+        assert _verdict(full) == _verdict(pebbling_values(g, goals)[0])
+        for budget in (0, 1, 5, 37, 200, full.checked - 1):
+            one = pebbling_value(g, DOMINATION, budget=budget)
+            assert one.status == "budget"
+            assert one == pebbling_values(g, goals, budget=budget)[0]
     with pytest.raises(ValueError, match="cannot share"):  # cover scans alone
         pebbling_values(P4, (DOMINATION, FULL_COVER))
     with pytest.raises(ValueError, match="at least one goal"):
@@ -802,7 +902,7 @@ def test_pebbling_values_match_single_goal_scans():
 # ---------------------------------------------------------------------------
 
 PINNED_SCAN = Pin(
-    5325, "74b73bd90efa98891282feff13d2446dc8c343ce9d9a23d2ae7ca21dbb60bf59",
+    6193, "25afb804b4d51eb21a9da9ef4354659752dcffd09973cbbf8a046771d091873f",
     {
         "1 domination": (4, "8763f7a26608"),
         "1 subversion(omega=1)": (4, "85cd9794964c"),
@@ -815,15 +915,15 @@ PINNED_SCAN = Pin(
         "3 domination": (8, "f248bcc48303"),
         "3 subversion(omega=1)": (8, "3355ccd38a1f"),
         "3 subversion(omega=2)": (8, "05789268f462"),
-        "3 cover": (8, "ae60b3782b2e"),
+        "3 cover": (8, "fc8056fa9830"),
         "4 domination": (24, "57b370426861"),
         "4 subversion(omega=1)": (24, "a14c1b1d6503"),
         "4 subversion(omega=2)": (24, "a32ba13db31a"),
-        "4 cover": (24, "d3956c46eb71"),
+        "4 cover": (24, "f382fbf1dfc1"),
         "5 domination": (84, "730c4156f15c"),
         "5 subversion(omega=1)": (84, "384604d19182"),
         "5 subversion(omega=2)": (84, "280853d0dc75"),
-        "5 cover": (84, "048f58efc2d0"),
+        "5 cover": (84, "3dac5c6cb67f"),
         "6 domination": (448, "4918753d84c9"),
         "6 subversion(omega=1)": (448, "47a599bec2d8"),
         "6 subversion(omega=2)": (448, "bb0e290c3571"),
@@ -839,30 +939,30 @@ PINNED_SCAN = Pin(
         "cycle 9 domination": (1, "e1ea8271e16d"),
         "cycle 9 subversion(omega=1)": (1, "974b29a070ef"),
         "cycle 9 subversion(omega=2)": (1, "ccbd26d451c5"),
-        "tail-clique 2 3 cover": (1, "c38c1049b209"),
-        "single 1 domination": (8, "8973bb3349ea"),
-        "single 1 subversion(omega=1)": (8, "fca15cd35172"),
-        "single 1 cover": (8, "fefa689287a1"),
-        "single 2 domination": (8, "e75f2cba2a68"),
-        "single 2 subversion(omega=1)": (8, "d38d00370040"),
-        "single 2 cover": (8, "e635a351da96"),
-        "single 3 domination": (16, "e6c028ac3cc1"),
-        "single 3 subversion(omega=1)": (16, "1e77f10b22f2"),
-        "single 3 cover": (16, "31ee33bb0978"),
-        "single 4 domination": (48, "4e1279a479ca"),
-        "single 4 subversion(omega=1)": (48, "cc1a38bfebeb"),
-        "single 4 cover": (48, "4c8b22b5f3fe"),
-        "single 5 domination": (168, "5f20d893a696"),
-        "single 5 subversion(omega=1)": (168, "0c746799dcbb"),
-        "single 5 cover": (168, "216ed5040983"),
-        "single 6 domination": (896, "3d3ae952bb83"),
-        "single 6 subversion(omega=1)": (896, "a3ee9d385b7d"),
-        "single 6 cover": (896, "8eef3ff6ddce"),
-        "single binary-tree 2 domination": (8, "9dfa40afce4a"),
-        "single path 6 domination": (8, "f5728c6371fc"),
-        "single tail-clique 2 4 domination": (8, "c5ffaf8d8ed9"),
-        "single tail-clique 2 3 cover": (8, "f04accf05d53"),
-        "single path 8 domination": (8, "2854edd54e72"),
+        "tail-clique 2 3 cover": (1, "77574f183716"),
+        "single 1 domination": (10, "f00ab67bea35"),
+        "single 1 subversion(omega=1)": (10, "0b2008138b48"),
+        "single 1 cover": (10, "b3c6ac8050cc"),
+        "single 2 domination": (10, "3069663be4a7"),
+        "single 2 subversion(omega=1)": (10, "38abac1eda6c"),
+        "single 2 cover": (10, "1ef9ccbdf198"),
+        "single 3 domination": (20, "927b4a19c20b"),
+        "single 3 subversion(omega=1)": (20, "d52f97520af4"),
+        "single 3 cover": (20, "cf9835d1b32b"),
+        "single 4 domination": (60, "791aabd7f8f9"),
+        "single 4 subversion(omega=1)": (60, "2da103f5d565"),
+        "single 4 cover": (60, "2c3b45593044"),
+        "single 5 domination": (210, "6e768b8dabfe"),
+        "single 5 subversion(omega=1)": (210, "92d78aead809"),
+        "single 5 cover": (210, "53620393a858"),
+        "single 6 domination": (1120, "4c6d8a79fcc6"),
+        "single 6 subversion(omega=1)": (1120, "86188ce67464"),
+        "single 6 cover": (1120, "6a80d1a7808b"),
+        "single binary-tree 2 domination": (10, "db4f3570316c"),
+        "single path 6 domination": (10, "e00d9f8e4eb4"),
+        "single tail-clique 2 4 domination": (10, "7e91dcb6afb9"),
+        "single tail-clique 2 3 cover": (10, "c1e301a19373"),
+        "single path 8 domination": (10, "c5f210a20002"),
     })
 
 
@@ -875,7 +975,8 @@ def scan_outcomes():
     Last, in buckets named ``single ...``, the one-goal scans that pack
     with their goal's weight bounds: psi, Omega_1 and brute lambda on the
     corpus up to order 6, and the five graphs of perfbench's ``families``,
-    unlimited, at budgets 0, 5, 37 and 200 and at caps 0, 1 and 3."""
+    unlimited, at budgets 0, 5, 37 and 200 and at caps 0, 1, 3, 25 and 60
+    (the last two past where psi of path(8) stops)."""
     def outcome(rep):
         return rep.value, rep.witness, rep.status, rep.checked
 
@@ -910,7 +1011,7 @@ def scan_outcomes():
         ("tail-clique 2 3", tail_clique(2, 3), FULL_COVER),
         ("path 8", path(8), DOMINATION))]
     limits = ([(None, budget) for budget in (None, 0, 5, 37, 200)]
-              + [(cap, None) for cap in (0, 1, 3)])
+              + [(cap, None) for cap in (0, 1, 3, 25, 60)])
     for where, name, g, goal in singles:
         for cap, budget in limits:
             rep = pebbling_value(g, goal, cap, budget)
