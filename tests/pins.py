@@ -31,6 +31,7 @@ BUCKET_DIGEST = 12  # hex digits kept of each bucket's SHA-256
 STREAMS = {
     "oracle": ("test_solver", "oracle_outcomes"),
     "scan": ("test_solver", "scan_outcomes"),
+    "scan-work": ("test_solver", "scan_work"),
     "targets": ("test_solver", "targets_outcomes"),
     "outcomes": ("test_constructive", "outcomes"),
     "outcomes-diam2-order6": ("test_constructive", "outcomes_diam2_order6"),
