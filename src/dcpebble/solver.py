@@ -7,9 +7,9 @@ they are the reference every other computation is checked against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .families import psi_upper_bound
@@ -24,6 +24,9 @@ from .pebbling import (
 )
 
 DEFAULT_STATE_BUDGET = 10_000_000
+# What a reverse move costs the box scan against a colex child (see
+# pebbling_values).
+_REVERSE_COST = 4
 
 
 @dataclass(frozen=True)
@@ -512,22 +515,51 @@ def _tight_caps(g: Graph, targets: list[tuple[list[int], int]],
 
 
 @lru_cache(maxsize=1024)
-def _stop(g: Graph, p: _Packing) -> tuple[float, int, list]:
-    """Where a scan packed as ``p``, with its goal's bounds, may stop:
-    ``(first, top, targets)``.  ``targets`` are p's, ``top`` is max_T
-    ceil(need_T / mu_T), and ``first`` the least size k in n < k <= top
-    with sum_u M_k(u) < k (:func:`_tight_caps`), or ``inf`` if there is
-    none.  That sum minus k falls as k grows, so a binary search finds
-    ``first``, and every size from ``first`` on passes.  p has a target.
-    Cached: one entry per packing that a scan tested, sized as
-    :func:`_packing`'s cache.
+def _box(g: Graph, p: _Packing) -> tuple:
+    """What the box scan of :func:`pebbling_values` needs of a packing
+    ``p`` with a target: ``top`` = max_T ceil(need_T / mu_T), mu_T being
+    T's least weight; p's targets; the count fields of the even vertices
+    and the bit just above each of them (its sentinel), the same for the
+    odd vertices; and for each vertex w the deltas 2 weights[u] -
+    weights[w], u adjacent to w, that turn y into the reverse move y -
+    e_w + 2 e_u.  Cached: one entry per packing that a scan reached level
+    n + 1 on, sized as :func:`_packing`'s cache.
     """
     targets = p.targets()
     top = max(-(-need // min(row)) for row, need in targets)
-    sizes = range(g.n + 1, top + 1)
-    i = bisect_left(sizes, True,
-                    key=lambda k: sum(_tight_caps(g, targets, k)) < k)
-    return (sizes[i] if i < len(sizes) else float("inf")), top, targets
+    halves = [0, 0, 0, 0]  # even fields, their sentinels, odd, sentinels
+    for v, (unit, field, _) in enumerate(p.fields):
+        halves[v % 2 * 2] |= field
+        halves[v % 2 * 2 + 1] |= field + unit
+    w = p.weights
+    into = tuple(tuple(2 * w[u] - w[v] for u in g.adj[v]) for v in range(g.n))
+    return (top, targets, *halves, into)
+
+
+@lru_cache(maxsize=16384)
+def _limits(g: Graph, p: _Packing, k: int) -> tuple:
+    """Box_k of a packing, the configurations with x_u <= M_k(u) on every
+    vertex (:func:`_tight_caps`, each cap cut to the largest count a field
+    holds): ``(lift_even, lift_odd, one, bounded, below)``.  Adding
+    ``lift_even`` to the even count fields of x (``x & even`` of
+    :func:`_box`) carries into some field's sentinel iff x_u > M_k(u) on
+    an even vertex u, and ``lift_odd`` does the same for the odd ones.
+    ``one`` and ``bounded`` hold the top count bit of each vertex with
+    M_k(u) = 1 and with M_k(u) below the largest count, so a pattern
+    whose sources meet ``one`` lies outside the box and one whose sources
+    miss ``bounded`` inside it; ``below[v]`` is M_k(v) in v's field, or 0
+    where every count fits.  Cached per packing and size.
+    """
+    lift, one, bounded, below = [0, 0], 0, 0, []
+    caps = _tight_caps(g, _box(g, p)[1], k)
+    for v, (unit, field, _) in enumerate(p.fields):
+        most = field // unit
+        m, bit = min(caps[v], most), p.steps[v][0]
+        lift[v % 2] += (most - m) * unit
+        below.append(m * unit if m < k else 0)
+        bounded |= bit if m < k - 1 else 0
+        one |= bit if m == 1 else 0
+    return lift[0], lift[1], one, bounded, tuple(below)
 
 
 def _last_refuted(targets: list[tuple[list[int], int]], n: int,
@@ -589,36 +621,71 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     that meets the goal weighs at least each target's need.  So a
     candidate that fails a bound is kept with no move probed.  ``prev``
     holds only the kept configurations that pass every bound, with their
-    support scores, so a child ``y`` is unsolvable iff it fails a bound
+    occupied vertices, so a child ``y`` is unsolvable iff it fails a bound
     or is in ``prev``; each other candidate probes its moves that way,
     up to the first solvable child.  Both tests are exact, so up to the
-    level where the scan stops, the kept set, ``checked`` and every
-    budget trip are those of the same scan with no bound.  A level's
-    emptiness and its witness come from its pattern lists, which hold
-    every kept configuration; the empty configuration is ``p.base``.  A
-    scan of several omegas packs no bound: its candidates compare the
+    level where it switches to its box (below), the kept set, ``checked``
+    and every budget trip are those of the same scan with no bound.  A
+    level's emptiness and its witness come from its pattern lists, which
+    hold every kept configuration; the empty configuration is ``p.base``.
+    A scan of several omegas packs no bound: its candidates compare the
     children's scores.
 
-    Such a scan stops once the bounds decide every level left.  Call a
-    configuration tight if it passes every bound while each legal move's
-    child fails one.  An unsolvable x that passes every bound is tight,
-    or has a child that passes every bound; that child is unsolvable, so
-    x is a reverse move of a member of ``prev``'s level.  A tight
-    configuration of j pebbles holds at most M_j(u) pebbles on each
-    vertex u (:func:`_tight_caps`, from the same bounds), so there is
-    none when sum_u M_j(u) < j.  No M_j(u) rises with j, so once that
-    holds at a size k, it holds at every size from k on; it cannot hold
-    at k <= n, as each M_j(u) >= 1, and :func:`_stop` finds the least
-    such k once per packing.  So at the top of level k > n, with ``prev``
-    empty and sum_u M_k(u) < k, by induction every unsolvable
-    configuration of k - 1 pebbles or more fails a bound.  The scan
-    returns there with no further level.  Some configuration of j
-    pebbles fails target T's bound iff j mu_T < need_T, mu_T being T's
-    least weight, and level k - 1 holds one, so the value is top =
-    max_T ceil(need_T / mu_T) >= k, or ``cap + 1`` with status
-    ``"cap"`` when top > cap.  The witness is the colex-last
-    configuration of the size before that fails a bound
-    (:func:`_last_refuted`).
+    Past level n, such a scan may drop most of what the bounds prove.  Let
+    U_k be the unsolvable configurations of k pebbles, R_k those that pass
+    every bound (``prev``'s level), and Box_k those with x_u <= M_k(u) on
+    every vertex u, M being :func:`_tight_caps` of the same bounds.  Call
+    a configuration tight if it passes every bound while each legal move's
+    child fails one.  A member x of R_k is tight, or has a child that
+    passes every bound; that child is unsolvable, so x is a reverse move y
+    - e_w + 2 e_u of some y in R_k-1, w occupied in y and u adjacent to w.
+    A tight configuration of k pebbles lies in Box_k, and no M_k(u) rises
+    with k, so the colex parent of a member of U_k in Box_k is a member of
+    U_k-1 in Box_k, as removing a pebble keeps a configuration unsolvable.
+    So from a switch level on, the box scan keeps only R_k, and U_k in
+    Box_k filed by pattern, and by induction misses none of either.  Its
+    candidates at level k are the colex children in Box_k of the filed
+    members in Box_k (those with c_v < M_k(v) for v = top(c)), through the
+    loop above, and the reverse moves of R_k-1 outside Box_k, each once,
+    through a per-candidate path: the occupied bits give the support
+    score and ``sources`` the legal row.  A reverse move never lowers a
+    weight sum, so it passes every bound.  One in Box_k needs no test: its
+    colex parent is filed if unsolvable, so the loop has it, and it is
+    solvable otherwise.  A candidate is decided as before, and one that
+    fails a bound is kept only in the box, where the loop made it.  The
+    box test is two additions on the count fields (:func:`_box`,
+    :func:`_limits`), once for the even vertices and once for the odd, so
+    that a field's carry lands in the empty field above it.
+
+    The scan decides once per level k > n, cheapest test first, and never
+    switches back, as the configurations dropped cannot come back.  It
+    does not switch for a packing without targets.  With alpha =
+    ``_REVERSE_COST``, it switches when some M_k(u) < k - 1, so that a
+    member of U_k-1 can lie outside Box_k; alpha |R_k-1| sum_u deg(u) < n
+    |U_k-1|; and alpha times the reverse moves of R_k-1 plus the colex
+    children of its filed members in Box_k is below today's
+    candidates, sum_c n - top(c) over U_k-1 (box children counted as
+    n - top(c) too, an upper bound).  A reverse move, duplicates and
+    moves into the box included, cost 1.0 to 1.7 colex children, measured
+    on brute lambda of tail_clique(2, 3) and path(7) and psi of
+    tail_clique(2, 4), path(8) and path(9); alpha = 4 is set above that
+    as a switch commits every later level to the reverse moves.  Of
+    alpha from 1 to 8, 4 was the fastest or within 2% of it on perfbench's
+    families scans, and 6% slower than 1 on psi of path(9).  With R_k-1
+    empty and no filed member in Box_k there are no candidates, so the
+    scan switches and ends there:
+    nothing is kept from level k on, and every unsolvable configuration
+    of k pebbles or more fails a bound.  Some configuration of j pebbles
+    fails target T's bound iff j mu_T < need_T, mu_T being T's least
+    weight, so the value is the larger of top = max_T ceil(need_T / mu_T)
+    and 1 + the last level that kept anything, or ``cap + 1`` with status
+    ``"cap"`` when that exceeds ``cap``.  The witness at j pebbles, for
+    that report and for ``"cap"`` and ``"budget"`` reports of a scan in
+    its box, is the colex-larger of the colex-last member kept at level j
+    and, when j < top, the colex-last configuration of j pebbles that
+    fails a bound (:func:`_last_refuted`), which is the colex-last member
+    of U_j, as every unsolvable configuration the box dropped fails a
+    bound.
 
     Kept configurations are filed by pattern, ``occupied | sources << n``:
     the mask of the vertices holding a pebble and the top count bits of
@@ -629,10 +696,11 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     occupied mask, and the legal moves, by sources (:meth:`_Packing.legal`).
 
     Domination and subversion goals share a scan; cover scans alone.
-    ``checked`` counts the candidates of the levels the scan enumerates:
-    1 for the empty configuration plus, for each kept c of a level below
-    the last one enumerated, the n - top(c) candidates c + e_v.
-    Once it exceeds ``budget`` every goal still open gets a ``"budget"``
+    ``checked`` counts the candidates the scan examines: 1 for the empty
+    configuration plus, for each filed c of a level below the last one
+    enumerated, its candidates c + e_v, n - top(c) of them before the
+    switch, and in its box each reverse move that reaches the
+    per-candidate path.  Once it exceeds ``budget`` every goal still open gets a ``"budget"``
     report with ``checked = budget + 1``, and past ``cap`` (default
     :func:`default_cap`) a ``"cap"`` report.
     """
@@ -649,23 +717,45 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     single = all(goal.omega == floor for goal in goals)
     n, full = g.n, g.full_mask
     p = _packing(g, goals[0] if single else None, cap.bit_length())
-    guard, counts = p.guard, p.high | p.low
+    guard, low, high, two = p.guard, p.low, p.high, p.two
+    counts = high | low
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
+    masks: dict[int, int] = {}  # occupied vertices by their top count bits
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
     filed: dict[int, list[int]] = {}
+    box = None  # Box_k's limits once the scan has switched to it
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
-                kept = ((x & counts for group in filed.values() for x in group)
-                        if single else
-                        (x for x, s in prev.items() if s > goal.omega))
+                if not single:
+                    kept = [x for x, s in prev.items() if s > goal.omega]
+                else:
+                    kept = [x & counts for x in chain(prev, *filed.values())]
+                    if box and value <= top:  # B outside the box
+                        kept.append(p.pack(
+                            _last_refuted(targets, n, value - 1)) & counts)
                 last = max(kept, default=None)
                 witness = None if last is None else p.unpack(last)
                 reports[i] = NumberReport(value, witness, status, checked)
         return reports
+
+    def inside(groups: dict[int, list[int]]) -> dict[int, list[int]]:
+        """The members of ``groups`` in Box_k, by pattern."""
+        kept = {}
+        for pattern, group in groups.items():
+            src = pattern >> n
+            if src & one:
+                continue
+            if src & bounded:
+                group = [c for c in group if not (
+                    (c & even) + lift_even & ends_even
+                    or (c & odd) + lift_odd & ends_odd)]
+            if group:
+                kept[pattern] = group
+        return kept
 
     checked = 1  # level 0: the empty configuration, which has no moves
     if budget is not None and budget < 1:
@@ -675,25 +765,49 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     groups = {0: [x]} if score > floor else {}
     level = {x: score} if groups and x & guard == guard else {}
     scores = {0: score}
+    if single and guard:
+        top, targets, even, ends_even, odd, ends_odd, into = _box(g, p)
+        backs = _Reverse(into)  # reverse-move deltas by occupied vertices
     for k in range(1, cap + 2):
-        if not groups:
+        if box is None and not groups:
             return settle(k - 1, "exact")
         if not single:
             settle(k - 1, "exact", max(level.values()))
+        elif guard and k > n:
+            limits = lift_even, lift_odd, one, bounded, below = _limits(
+                g, p, k)
+            switch, boxed = box is not None, None
+            if not switch and bounded and (
+                    _REVERSE_COST * len(level) * 2 * len(g.edges)
+                    < n * sum(map(len, groups.values()))):
+                cost = _REVERSE_COST * sum(
+                    map(len, map(backs.__getitem__, level.values())))
+                today = _width(groups, n)
+                if cost < today:
+                    boxed = inside(groups)
+                    switch = cost + _width(boxed, n) < today
+            if switch:
+                box, boxed = limits, inside(groups) if boxed is None else boxed
+                if not level and not boxed:
+                    # Nothing is kept from here on: the value and witness
+                    # come from the last level that kept anything.
+                    last = k - 1 if groups else k - 2
+                    value = min(max(top, last + 1), cap + 1)
+                    if value > last + 1:
+                        prev, filed = {}, {}
+                    elif groups:
+                        prev, filed = level, groups
+                    return settle(value, "exact" if value <= cap else "cap")
+                groups = boxed
         prev, filed, level, groups = level, groups, {}, {}
         if k > cap:
             break
-        if single and not prev and k > n:
-            first, top, targets = _stop(g, p)
-            if k >= first:
-                value, status = (top, "exact") if top <= cap else (
-                    cap + 1, "cap")
-                witness = _last_refuted(targets, n, value - 1)
-                return [NumberReport(value, witness, status, checked)
-                        for _ in goals]
-        for pattern, group in filed.items():
+        for pattern, whole in filed.items():
             occ, src = pattern & full, pattern >> n
             for v in range(max(occ.bit_length() - 1, 0), n):
+                group = whole
+                if box and below[v] and occ >> v == 1:  # v is the top
+                    group = [c for c in whole if c & p.fields[v][1] < below[v]]
                 checked += len(group)
                 if budget is not None and checked > budget:
                     checked = budget + 1
@@ -725,7 +839,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                                 if y & guard == guard and y not in prev:
                                     break
                             else:
-                                level[x] = base
+                                level[x] = occupied
                                 if members is None:
                                     members = groups.setdefault(
                                         occupied | sources << n, [])
@@ -752,7 +866,68 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                                 members = groups.setdefault(
                                     occupied | sources << n, [])
                             members.append(x)
+        if not box:
+            continue
+        # The reverse moves of prev's members that pass every bound and
+        # lie outside the box, each once: a candidate on one path.
+        seen: set[int] = set()
+        for y, occ in prev.items():
+            for delta in backs[occ]:
+                x = y + delta
+                if x in seen or not ((x & even) + lift_even & ends_even
+                                     or (x & odd) + lift_odd & ends_odd):
+                    continue
+                seen.add(x)
+                checked += 1
+                if budget is not None and checked > budget:
+                    checked = budget + 1
+                    return settle(k, "budget")
+                key = x & counts
+                lit = ((key & low) + low | key) & high
+                occupied = masks.get(lit)
+                if occupied is None:
+                    occupied = masks[lit] = p.support(key)
+                base = scores.get(occupied)
+                if base is None:
+                    base = scores[occupied] = (
+                        int(occupied != full) if cover else
+                        max_undominated_component(g, occupied))
+                if base <= floor:
+                    continue
+                t = key & two
+                sources = ((t & low) + low | t) & high
+                moves = legal.get(sources)
+                if moves is None:
+                    moves = legal[sources] = p.legal(sources)
+                for step, _ in moves:
+                    z = x + step
+                    if z & guard == guard and z not in prev:
+                        break
+                else:
+                    level[x] = occupied
     return settle(cap + 1, "cap")
+
+
+def _width(groups: dict[int, list[int]], n: int) -> int:
+    """How many colex children the kept ``groups`` have: n - top(c) each."""
+    occupied = (1 << n) - 1
+    return sum(len(group) * (n + 1 - (pattern & occupied).bit_length())
+               for pattern, group in groups.items())
+
+
+class _Reverse(dict):
+    """The reverse-move deltas of :func:`_box`'s ``into`` of every vertex
+    in an occupied mask, by mask, each built on its first lookup."""
+
+    def __init__(self, into: tuple):
+        super().__init__()
+        self.into = into
+
+    def __missing__(self, occupied: int) -> tuple[int, ...]:
+        row = self[occupied] = tuple(
+            d for w, deltas in enumerate(self.into) if occupied >> w & 1
+            for d in deltas)
+        return row
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,

@@ -157,12 +157,17 @@ CASES = {
             "finding subversion_diam3_omega_1 on ELq?")),
     "compute-psi-path-8": run(
         "compute psi", "psi = 73", "witness = 0,0,0,0,0,0,0,72",
-        "configurations checked = 102687", stdin=("family", "path", "8")),
+        "configurations checked = 10159", stdin=("family", "path", "8")),
     "compute-psi-path-8-budget": run(
-        "compute psi --budget 102686",
-        "psi >= 21 (budget exhausted; value is a lower bound)",
-        "witness = 0,0,0,0,0,0,0,20", "configurations checked = 102687",
+        "compute psi --budget 10158",
+        "psi >= 20 (budget exhausted; value is a lower bound)",
+        "witness = 0,0,0,0,0,0,0,19", "configurations checked = 10159",
         stdin=("family", "path", "8"), code=cli.EXIT_BUDGET),
+    # Without its box, this scan examines 189,093,066 candidates, not
+    # 916,871: the timeout checks that the box scan stays engaged.
+    "compute-psi-path-10": run(
+        "compute psi", "psi = 293", ..., stdin=("family", "path", "10"),
+        timeout=10.0),
     "oracle-path-12": oracle("path 12", 500, ..., "verdict: unsolvable"),
     "oracle-path-10": oracle("path 10", 300, ..., SOLVED, timeout=10.0),
     "oracle-cycle-15": oracle("cycle 15", 250, ..., UNKNOWN,

@@ -744,18 +744,15 @@ def test_level_scan_matches_reference(g, goal):
     witness = levels[-2][-1] if value else None
     rep = pebbling_value(g, goal)
     assert (rep.value, rep.witness, rep.status) == (value, witness, "exact")
-    # The empty configuration, then c + e_v for every kept c of the levels
-    # the scan extended and v at or above c's top vertex (0 for the empty
-    # one).  It extends a prefix of the levels, and every level after it
-    # holds only configurations that fail a bound.
+    # A scan that enumerated every level below the value would examine the
+    # empty configuration, then c + e_v for every unsolvable c of those
+    # levels and v at or above c's top vertex (0 for the empty one).  The
+    # scan examines at most that: it stops early, or drops the
+    # configurations outside its box where that costs fewer candidates.
     def top(c):
         return max((v for v, k in enumerate(c) if k), default=0)
-    counts = [1]
-    for level in levels[:value]:
-        counts.append(counts[-1] + sum(g.n - top(c) for c in level))
-    extended = counts.index(rep.checked)
-    assert all(refuted(g, c, goal) for level in levels[extended:]
-               for c in level)
+    assert rep.checked <= 1 + sum(g.n - top(c) for level in levels[:value]
+                                  for c in level)
     for k in range(value):
         capped = pebbling_value(g, goal, cap=k)
         assert (capped.value, capped.witness, capped.status) == \
@@ -806,10 +803,12 @@ def tight_configurations(g, targets, k):
 def test_tight_caps_sound(goal):
     # A tight configuration of k pebbles, one that passes every bound while
     # each legal move's child fails one, holds at most M_k(u) pebbles on
-    # each vertex u, so sum_u M_k(u) >= k wherever one exists: the premise
-    # of the single-omega scan's stop.  The scan tests k > n only, and past
-    # top = max ceil(need / least weight) every child passes every bound,
-    # so n < k <= top covers every size it relies on.  The graphs: the
+    # each vertex u, and no M_k(u) rises with k: the premise of the
+    # single-omega scan's box, as the colex parent of an unsolvable member
+    # of Box_k then lies in Box_k-1.  The scan switches at k > n only, and
+    # past top = max ceil(need / least weight) every child passes every
+    # bound, so n < k <= top covers every size with a tight configuration.
+    # The graphs: the
     # corpus (cover to order 5), and those of perfbench's families but
     # path(8), whose psi sizes 9..73 this search does not finish in 20 s;
     # for cover, only tail-clique(2, 3), the one families scans for cover.
@@ -820,28 +819,41 @@ def test_tight_caps_sound(goal):
                for kind, params in FAMILIES_WORKLOAD
                if (kind == "tail-clique" and params == (2, 3)
                    or not cover and params != (8,))]
-    # No M_k(u) rises with k, which lets ``_stop`` find the first size
-    # with sum_u M_k(u) < k by binary search; it must be the first here.
     found = 0
     for g in graphs:
         targets = _targets(g, goal)
         if not targets:
             continue
         top = max(-(-need // min(row)) for row, need in targets)
-        last, first = [float("inf")] * g.n, float("inf")
+        last = [float("inf")] * g.n
         for k in range(g.n + 1, top + 1):
             caps = _tight_caps(g, targets, k)
             assert all(m <= was for m, was in zip(caps, last)), (g, k)
             last = caps
-            if sum(caps) < k:
-                first = min(first, k)
             for c in tight_configurations(g, targets, k):
                 assert all(x <= m for x, m in zip(c, caps)), (g, c, caps)
                 found += 1
-        p = _packing(g, goal, top.bit_length())
-        assert solver._stop(g, p) == (first, top, targets), g
     if cover:  # psi and Omega_1 have no tight configuration here
         assert found
+    if goal == DOMINATION:
+        # But psi has tight configurations past n pebbles elsewhere: two of
+        # 11 on path(10).  Each passes every bound, is unsolvable, and lies
+        # in the box.
+        g = path(10)
+        caps = _tight_caps(g, _targets(g, goal), 11)
+        for c in ((0, 0, 0, 7, 1, 1, 1, 1, 0, 0),
+                  (0, 0, 1, 1, 1, 1, 7, 0, 0, 0)):
+            assert not refuted(g, c, goal)
+            assert is_solvable(g, c, goal).solvable is False
+            assert all(x <= m for x, m in zip(c, caps)), (c, caps)
+
+
+def test_box_scan_values_of_long_paths():
+    # Checked against the scan without its box, which examines 3,069,020
+    # candidates for path(9) and 189,093,066 for path(10).
+    for n, psi in ((9, 146), (10, 293)):
+        rep = pebbling_value(path(n), DOMINATION)
+        assert _verdict(rep) == (psi, (0,) * (n - 1) + (psi - 1,), "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -879,10 +891,11 @@ def test_pebbling_values_match_single_goal_scans():
                         assert rep.checked == budget + 1
                         assert rep.value <= exact.value
     # The smallest omega is psi's, so psi's one-goal scan has the shared
-    # scan's candidates up to where the bounds stop it, which the shared
-    # scan, packing no bound, never does.  So the psi reports agree in
-    # verdict, and in full at every budget that trips below the stop: up
-    # to checked - 1 of the unlimited one-goal scan.
+    # scan's candidates up to the level where it may switch to its box,
+    # past n pebbles, which the shared scan, packing no bound, never does.
+    # So the psi reports agree in verdict, and in full at every budget that
+    # trips at n pebbles or fewer; a later trip still reports a sound lower
+    # bound with an unsolvable witness.
     for kind, params in (("path", (6,)), ("binary-tree", (2,)),
                          ("tail-clique", (2, 4))):
         g = generate(FamilySpec(kind, params))
@@ -890,8 +903,13 @@ def test_pebbling_values_match_single_goal_scans():
         assert _verdict(full) == _verdict(pebbling_values(g, goals)[0])
         for budget in (0, 1, 5, 37, 200, full.checked - 1):
             one = pebbling_value(g, DOMINATION, budget=budget)
-            assert one.status == "budget"
-            assert one == pebbling_values(g, goals, budget=budget)[0]
+            assert one.status == "budget" and one.checked == budget + 1
+            if one.value <= g.n:
+                assert one == pebbling_values(g, goals, budget=budget)[0]
+            else:
+                assert one.value <= full.value
+                assert sum(one.witness) == one.value - 1
+                assert not is_solvable(g, one.witness, DOMINATION).solvable
     with pytest.raises(ValueError, match="cannot share"):  # cover scans alone
         pebbling_values(P4, (DOMINATION, FULL_COVER))
     with pytest.raises(ValueError, match="at least one goal"):
@@ -967,7 +985,7 @@ PINNED_SCAN = Pin(
     })
 
 PINNED_SCAN_WORK = Pin(
-    6193, "a4cd2e721a9708820972eb893221bf1da125d054bd2cf846f52a936d4d9fc21b",
+    6193, "abebcedbd8e32cd8bbd25bf9c080d422b116c3bfd4baf4eee9204221474a7d6e",
     {
         "1 domination": (4, "deb618fee627"),
         "1 subversion(omega=1)": (4, "28de60fdf945"),
@@ -980,15 +998,15 @@ PINNED_SCAN_WORK = Pin(
         "3 domination": (8, "560e0006b8b9"),
         "3 subversion(omega=1)": (8, "9babf648b0ee"),
         "3 subversion(omega=2)": (8, "da15d70b76fc"),
-        "3 cover": (8, "ea7247afba38"),
+        "3 cover": (8, "1c2a086cc2f5"),
         "4 domination": (24, "7e943974bd4e"),
         "4 subversion(omega=1)": (24, "d8e9e229f38d"),
         "4 subversion(omega=2)": (24, "68b51399a11f"),
-        "4 cover": (24, "0beb69d5b332"),
+        "4 cover": (24, "c02aad07c107"),
         "5 domination": (84, "6d8cb14c5d8c"),
         "5 subversion(omega=1)": (84, "9d6a7adfdfca"),
         "5 subversion(omega=2)": (84, "b64782e8afa9"),
-        "5 cover": (84, "c8f3ced47757"),
+        "5 cover": (84, "f560a247d979"),
         "6 domination": (448, "1f5cc74120ec"),
         "6 subversion(omega=1)": (448, "c4925aaee4a5"),
         "6 subversion(omega=2)": (448, "a3416904bde8"),
@@ -1013,21 +1031,21 @@ PINNED_SCAN_WORK = Pin(
         "single 2 cover": (10, "8c9f5b8ad67e"),
         "single 3 domination": (20, "5966bc5c7916"),
         "single 3 subversion(omega=1)": (20, "7c408aa8db06"),
-        "single 3 cover": (20, "5819c3d4b160"),
+        "single 3 cover": (20, "0bcb6a5e8c92"),
         "single 4 domination": (60, "f272938daffb"),
         "single 4 subversion(omega=1)": (60, "69ff2f535734"),
-        "single 4 cover": (60, "ddc5670ccba5"),
-        "single 5 domination": (210, "5567d1130d42"),
+        "single 4 cover": (60, "c748079f3ef2"),
+        "single 5 domination": (210, "3a490aba1341"),
         "single 5 subversion(omega=1)": (210, "ce5cb270a2b1"),
-        "single 5 cover": (210, "038bb121f233"),
-        "single 6 domination": (1120, "27a3a38552e6"),
+        "single 5 cover": (210, "b9832bfda9dc"),
+        "single 6 domination": (1120, "e9df7db21ce5"),
         "single 6 subversion(omega=1)": (1120, "4aca9dfd9cf3"),
-        "single 6 cover": (1120, "980bf6179d17"),
+        "single 6 cover": (1120, "712d46b6fe53"),
         "single binary-tree 2 domination": (10, "63ad8dba4d0d"),
-        "single path 6 domination": (10, "a2961c2c3249"),
+        "single path 6 domination": (10, "18bb82226b71"),
         "single tail-clique 2 4 domination": (10, "178e111adb72"),
         "single tail-clique 2 3 cover": (10, "d6c77a195ef9"),
-        "single path 8 domination": (10, "c9a40fd29bcb"),
+        "single path 8 domination": (10, "501886ae513b"),
     })
 
 
