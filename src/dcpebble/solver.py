@@ -533,33 +533,36 @@ def _box(g: Graph, p: _Packing) -> tuple:
         halves[v % 2 * 2 + 1] |= field + unit
     w = p.weights
     into = tuple(tuple(2 * w[u] - w[v] for u in g.adj[v]) for v in range(g.n))
-    return (top, targets, *halves, into)
+    return top, targets, tuple(halves), into
 
 
 @lru_cache(maxsize=16384)
 def _limits(g: Graph, p: _Packing, k: int) -> tuple:
     """Box_k of a packing, the configurations with x_u <= M_k(u) on every
     vertex (:func:`_tight_caps`, each cap cut to the largest count a field
-    holds): ``(lift_even, lift_odd, one, bounded, below)``.  Adding
+    holds): ``(lift_even, lift_odd, one, over, below)``.  Adding
     ``lift_even`` to the even count fields of x (``x & even`` of
     :func:`_box`) carries into some field's sentinel iff x_u > M_k(u) on
     an even vertex u, and ``lift_odd`` does the same for the odd ones.
-    ``one`` and ``bounded`` hold the top count bit of each vertex with
-    M_k(u) = 1 and with M_k(u) below the largest count, so a pattern
-    whose sources meet ``one`` lies outside the box and one whose sources
-    miss ``bounded`` inside it; ``below[v]`` is M_k(v) in v's field, or 0
-    where every count fits.  Cached per packing and size.
+    ``one`` holds the top count bit of each vertex with M_k(u) = 1, so a
+    pattern whose sources meet it lies outside the box.  ``over[j]`` holds
+    that of each vertex with M_k(u) < k - j: a member of level k - 1 with
+    j occupied vertices holds at most k - j pebbles on one, so a pattern
+    whose sources miss ``over[j]`` lies inside.  ``below[v]`` is M_k(v) in
+    v's field, or 0 where no count of level k reaches it.  Cached per
+    packing and size.
     """
-    lift, one, bounded, below = [0, 0], 0, 0, []
+    lift, one, over, below = [0, 0], 0, [0] * (g.n + 1), []
     caps = _tight_caps(g, _box(g, p)[1], k)
     for v, (unit, field, _) in enumerate(p.fields):
         most = field // unit
         m, bit = min(caps[v], most), p.steps[v][0]
         lift[v % 2] += (most - m) * unit
         below.append(m * unit if m < k else 0)
-        bounded |= bit if m < k - 1 else 0
+        for j in range(1, max(0, min(k - m, g.n + 1))):
+            over[j] |= bit
         one |= bit if m == 1 else 0
-    return lift[0], lift[1], one, bounded, tuple(below)
+    return lift[0], lift[1], one, tuple(over), tuple(below)
 
 
 def _last_refuted(targets: list[tuple[list[int], int]], n: int,
@@ -725,6 +728,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     prev: dict[int, int] = {}
     filed: dict[int, list[int]] = {}
     box = None  # Box_k's limits once the scan has switched to it
+    lost = -1  # sizes up to this lost bound-failing configurations to it
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
@@ -734,28 +738,13 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     kept = [x for x, s in prev.items() if s > goal.omega]
                 else:
                     kept = [x & counts for x in chain(prev, *filed.values())]
-                    if box and value <= top:  # B outside the box
+                    if value <= lost:  # the box dropped bound-failing ones
                         kept.append(p.pack(
-                            _last_refuted(targets, n, value - 1)) & counts)
+                            _last_refuted(targets, g.n, value - 1)) & counts)
                 last = max(kept, default=None)
                 witness = None if last is None else p.unpack(last)
                 reports[i] = NumberReport(value, witness, status, checked)
         return reports
-
-    def inside(groups: dict[int, list[int]]) -> dict[int, list[int]]:
-        """The members of ``groups`` in Box_k, by pattern."""
-        kept = {}
-        for pattern, group in groups.items():
-            src = pattern >> n
-            if src & one:
-                continue
-            if src & bounded:
-                group = [c for c in group if not (
-                    (c & even) + lift_even & ends_even
-                    or (c & odd) + lift_odd & ends_odd)]
-            if group:
-                kept[pattern] = group
-        return kept
 
     checked = 1  # level 0: the empty configuration, which has no moves
     if budget is not None and budget < 1:
@@ -766,28 +755,30 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     level = {x: score} if groups and x & guard == guard else {}
     scores = {0: score}
     if single and guard:
-        top, targets, even, ends_even, odd, ends_odd, into = _box(g, p)
+        top, targets, halves, into = _box(g, p)
+        even, ends_even, odd, ends_odd = halves
         backs = _Reverse(into)  # reverse-move deltas by occupied vertices
+        degrees = _REVERSE_COST * 2 * len(g.edges)  # alpha sum_u deg(u)
     for k in range(1, cap + 2):
         if box is None and not groups:
             return settle(k - 1, "exact")
         if not single:
             settle(k - 1, "exact", max(level.values()))
-        elif guard and k > n:
-            limits = lift_even, lift_odd, one, bounded, below = _limits(
-                g, p, k)
+        elif guard and k > n and (box or degrees * len(level) < n * sum(
+                map(len, groups.values()))):
+            limits = lift_even, lift_odd, _, over, below = _limits(g, p, k)
             switch, boxed = box is not None, None
-            if not switch and bounded and (
-                    _REVERSE_COST * len(level) * 2 * len(g.edges)
-                    < n * sum(map(len, groups.values()))):
+            if not switch and over[1]:
                 cost = _REVERSE_COST * sum(
                     map(len, map(backs.__getitem__, level.values())))
                 today = _width(groups, n)
                 if cost < today:
-                    boxed = inside(groups)
+                    boxed = _inside(groups, n, halves, limits)
                     switch = cost + _width(boxed, n) < today
             if switch:
-                box, boxed = limits, inside(groups) if boxed is None else boxed
+                box, lost = limits, top
+                if boxed is None:
+                    boxed = _inside(groups, n, halves, limits)
                 if not level and not boxed:
                     # Nothing is kept from here on: the value and witness
                     # come from the last level that kept anything.
@@ -807,7 +798,8 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
             for v in range(max(occ.bit_length() - 1, 0), n):
                 group = whole
                 if box and below[v] and occ >> v == 1:  # v is the top
-                    group = [c for c in whole if c & p.fields[v][1] < below[v]]
+                    field, most = p.fields[v][1], below[v]
+                    group = [c for c in whole if c & field < most]
                 checked += len(group)
                 if budget is not None and checked > budget:
                     checked = budget + 1
@@ -906,6 +898,26 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                 else:
                     level[x] = occupied
     return settle(cap + 1, "cap")
+
+
+def _inside(groups: dict[int, list[int]], n: int, halves: tuple,
+            limits: tuple) -> dict[int, list[int]]:
+    """The members of ``groups`` in Box_k, by pattern, from the fields of
+    :func:`_box` and the limits of :func:`_limits`."""
+    even, ends_even, odd, ends_odd = halves
+    lift_even, lift_odd, one, over, _ = limits
+    kept, full = {}, (1 << n) - 1
+    for pattern, group in groups.items():
+        src = pattern >> n
+        if src & one:
+            continue
+        if src & over[(pattern & full).bit_count()]:
+            group = [c for c in group if not (
+                (c & even) + lift_even & ends_even
+                or (c & odd) + lift_odd & ends_odd)]
+        if group:
+            kept[pattern] = group
+    return kept
 
 
 def _width(groups: dict[int, list[int]], n: int) -> int:
