@@ -728,7 +728,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     prev: dict[int, int] = {}
     filed: dict[int, list[int]] = {}
     box = None  # Box_k's limits once the scan has switched to it
-    lost = -1  # sizes up to this lost bound-failing configurations to it
+    lost = -1  # top once switched: a size below it may have lost witnesses
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
@@ -738,7 +738,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     kept = [x for x, s in prev.items() if s > goal.omega]
                 else:
                     kept = [x & counts for x in chain(prev, *filed.values())]
-                    if value <= lost:  # the box dropped bound-failing ones
+                    if value <= lost:  # dropped outside the box
                         kept.append(p.pack(
                             _last_refuted(targets, g.n, value - 1)) & counts)
                 last = max(kept, default=None)
@@ -860,8 +860,8 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                             members.append(x)
         if not box:
             continue
-        # The reverse moves of prev's members that pass every bound and
-        # lie outside the box, each once: a candidate on one path.
+        # The reverse moves of prev's members outside the box, each once,
+        # one candidate at a time; no bound refutes one (see above).
         seen: set[int] = set()
         for y, occ in prev.items():
             for delta in backs[occ]:
