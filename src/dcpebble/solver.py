@@ -734,13 +734,12 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
-                if not single:
-                    kept = [x for x, s in prev.items() if s > goal.omega]
-                else:
-                    kept = [x & counts for x in chain(prev, *filed.values())]
-                    if value <= lost:  # dropped outside the box
-                        kept.append(p.pack(
-                            _last_refuted(targets, g.n, value - 1)) & counts)
+                dropped = ([p.pack(_last_refuted(targets, g.n, value - 1))]
+                           if value <= lost else [])  # outside the box
+                kept = ((x & counts for x in chain(prev, *filed.values(),
+                                                   dropped))
+                        if single else
+                        (x for x, s in prev.items() if s > goal.omega))
                 last = max(kept, default=None)
                 witness = None if last is None else p.unpack(last)
                 reports[i] = NumberReport(value, witness, status, checked)
