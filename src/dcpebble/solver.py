@@ -522,8 +522,8 @@ def _box(g: Graph, p: _Packing) -> tuple:
     and the bit just above each of them (its sentinel), the same for the
     odd vertices; and for each vertex w the deltas 2 weights[u] -
     weights[w], u adjacent to w, that turn y into the reverse move y -
-    e_w + 2 e_u.  Cached: one entry per packing that a scan reached level
-    n + 1 on, sized as :func:`_packing`'s cache.
+    e_w + 2 e_u.  Cached: one entry per packing that a single-omega scan
+    with a target used, sized as :func:`_packing`'s cache.
     """
     targets = p.targets()
     top = max(-(-need // min(row)) for row, need in targets)
