@@ -676,9 +676,9 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     alpha from 1 to 8, 4 was the fastest or within 2% of it on perfbench's
     families scans, and 6% slower than 1 on psi of path(9).  With R_k-1
     empty and no filed member in Box_k there are no candidates, so the
-    scan switches and ends there:
-    nothing is kept from level k on, and every unsolvable configuration
-    of k pebbles or more fails a bound.  Some configuration of j pebbles
+    scan switches and ends there: nothing is kept from level k on, and
+    every unsolvable configuration of k pebbles or more fails a bound.
+    Some configuration of j pebbles
     fails target T's bound iff j mu_T < need_T, mu_T being T's least
     weight, so the value is the larger of top = max_T ceil(need_T / mu_T)
     and 1 + the last level that kept anything, or ``cap + 1`` with status
@@ -703,9 +703,9 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     configuration plus, for each filed c of a level below the last one
     enumerated, its candidates c + e_v, n - top(c) of them before the
     switch, and in its box each reverse move that reaches the
-    per-candidate path.  Once it exceeds ``budget`` every goal still open gets a ``"budget"``
-    report with ``checked = budget + 1``, and past ``cap`` (default
-    :func:`default_cap`) a ``"cap"`` report.
+    per-candidate path.  Once it exceeds ``budget`` every goal still
+    open gets a ``"budget"`` report with ``checked = budget + 1``, and
+    past ``cap`` (default :func:`default_cap`) a ``"cap"`` report.
     """
     if not goals:
         raise ValueError("pebbling_values needs at least one goal")
