@@ -522,8 +522,10 @@ def _box(g: Graph, p: _Packing) -> tuple:
     and the bit just above each of them (its sentinel), the same for the
     odd vertices; and for each vertex w the deltas 2 weights[u] -
     weights[w], u adjacent to w, that turn y into the reverse move y -
-    e_w + 2 e_u.  Cached: one entry per packing that a single-omega scan
-    with a target used, sized as :func:`_packing`'s cache.
+    e_w + 2 e_u; and a dict in which scans file the packing's
+    :func:`_limits` by size.  Cached: one entry per packing that a
+    single-omega scan with a target used, sized as :func:`_packing`'s
+    cache, so the limits live as long as their packing's entry.
     """
     targets = p.targets()
     top = max(-(-need // min(row)) for row, need in targets)
@@ -533,10 +535,9 @@ def _box(g: Graph, p: _Packing) -> tuple:
         halves[v % 2 * 2 + 1] |= field + unit
     w = p.weights
     into = tuple(tuple(2 * w[u] - w[v] for u in g.adj[v]) for v in range(g.n))
-    return top, targets, tuple(halves), into
+    return top, targets, tuple(halves), into, {}
 
 
-@lru_cache(maxsize=16384)
 def _limits(g: Graph, p: _Packing, k: int) -> tuple:
     """Box_k of a packing, the configurations with x_u <= M_k(u) on every
     vertex (:func:`_tight_caps`, each cap cut to the largest count a field
@@ -548,9 +549,8 @@ def _limits(g: Graph, p: _Packing, k: int) -> tuple:
     pattern whose sources meet it lies outside the box.  ``over[j]`` holds
     that of each vertex with M_k(u) < k - j: a member of level k - 1 with
     j occupied vertices holds at most k - j pebbles on one, so a pattern
-    whose sources miss ``over[j]`` lies inside.  ``below[v]`` is M_k(v) in
-    v's field, or 0 where no count of level k reaches it.  Cached per
-    packing and size.
+    whose sources miss ``over[j]`` lies inside.  ``below[v]`` is v's count
+    field and M_k(v) in it, or None where no count of level k reaches it.
     """
     lift, one, over, below = [0, 0], 0, [0] * (g.n + 1), []
     caps = _tight_caps(g, _box(g, p)[1], k)
@@ -558,7 +558,7 @@ def _limits(g: Graph, p: _Packing, k: int) -> tuple:
         most = field // unit
         m, bit = min(caps[v], most), p.steps[v][0]
         lift[v % 2] += (most - m) * unit
-        below.append(m * unit if m < k else 0)
+        below.append((field, m * unit) if m < k else None)
         for j in range(1, max(0, min(k - m, g.n + 1))):
             over[j] |= bit
         one |= bit if m == 1 else 0
@@ -648,10 +648,11 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     So from a switch level on, the box scan keeps only R_k, and U_k in
     Box_k filed by pattern, and by induction misses none of either.  Its
     candidates at level k are the colex children in Box_k of the filed
-    members in Box_k (those with c_v < M_k(v) for v = top(c)), through the
-    loop above, and the reverse moves of R_k-1 outside Box_k, each once,
-    through a per-candidate path: the occupied bits give the support
-    score and ``sources`` the legal row.  A reverse move never lowers a
+    members in Box_k, through the loop above, which skips v = top(c) for
+    a member with c_v = M_k(v) (:func:`_inside` files those apart at the
+    level's start), and the reverse moves of R_k-1 outside Box_k, each
+    once, through a per-candidate path: the occupied bits give the
+    support score and ``sources`` the legal row.  A reverse move never lowers a
     weight sum, so it passes every bound.  One in Box_k needs no test: its
     colex parent is filed if unsolvable, so the loop has it, and it is
     solvable otherwise.  A candidate is decided as before, and one that
@@ -720,13 +721,12 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     single = all(goal.omega == floor for goal in goals)
     n, full = g.n, g.full_mask
     p = _packing(g, goals[0] if single else None, cap.bit_length())
-    guard, low, high, two = p.guard, p.low, p.high, p.two
-    counts = high | low
+    guard, counts = p.guard, p.high | p.low
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
-    masks: dict[int, int] = {}  # occupied vertices by their top count bits
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
     filed: dict[int, list[int]] = {}
+    capped: dict[int, list[int]] = {}  # in the box: filed at M_k(top)
     box = None  # Box_k's limits once the scan has switched to it
     lost = -1  # top once switched: a size below it may have lost witnesses
 
@@ -734,12 +734,13 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
-                dropped = ([p.pack(_last_refuted(targets, g.n, value - 1))]
-                           if value <= lost else [])  # outside the box
-                kept = ((x & counts for x in chain(prev, *filed.values(),
-                                                   dropped))
-                        if single else
-                        (x for x, s in prev.items() if s > goal.omega))
+                if single:
+                    dropped = ([p.pack(_last_refuted(targets, n, value - 1))]
+                               if value <= lost else [])  # outside the box
+                    kept = (x & counts for x in chain(
+                        prev, *filed.values(), *capped.values(), dropped))
+                else:
+                    kept = (x for x, s in prev.items() if s > goal.omega)
                 last = max(kept, default=None)
                 witness = None if last is None else p.unpack(last)
                 reports[i] = NumberReport(value, witness, status, checked)
@@ -754,116 +755,128 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     level = {x: score} if groups and x & guard == guard else {}
     scores = {0: score}
     if single and guard:
-        top, targets, halves, into = _box(g, p)
+        top, targets, halves, into, sizes = _box(g, p)
         even, ends_even, odd, ends_odd = halves
-        backs = _Reverse(into)  # reverse-move deltas by occupied vertices
+        low, high, two = p.low, p.high, p.two
+        masks: dict[int, int] = {}  # occupied vertices by their top count bits
+        backs: dict[int, tuple] = {}  # reverse-move deltas by occupied mask
         degrees = _REVERSE_COST * 2 * len(g.edges)  # alpha sum_u deg(u)
     for k in range(1, cap + 2):
-        if box is None and not groups:
+        if not groups and box is None:
             return settle(k - 1, "exact")
         if not single:
             settle(k - 1, "exact", max(level.values()))
         elif guard and k > n and (box or degrees * len(level) < n * sum(
                 map(len, groups.values()))):
-            limits = lift_even, lift_odd, _, over, below = _limits(g, p, k)
+            limits = sizes.get(k)
+            if limits is None:
+                limits = sizes[k] = _limits(g, p, k)
+            lift_even, lift_odd, _, over, _ = limits
             switch, boxed = box is not None, None
             if not switch and over[1]:
-                cost = _REVERSE_COST * sum(
-                    map(len, map(backs.__getitem__, level.values())))
-                today = _width(groups, n)
+                cost = 0
+                for occ in level.values():
+                    row = backs.get(occ)
+                    if row is None:
+                        row = backs[occ] = _reverse(into, occ)
+                    cost += _REVERSE_COST * len(row)
+                today = _width(n, groups)
                 if cost < today:
                     boxed = _inside(groups, n, halves, limits)
-                    switch = cost + _width(boxed, n) < today
+                    switch = cost + _width(n, *boxed) < today
             if switch:
                 box, lost = limits, top
                 if boxed is None:
                     boxed = _inside(groups, n, halves, limits)
-                if not level and not boxed:
+                if not level and not any(boxed):
                     # Nothing is kept from here on: the value and witness
                     # come from the last level that kept anything.
                     last = k - 1 if groups else k - 2
                     value = min(max(top, last + 1), cap + 1)
                     if value > last + 1:
-                        prev, filed = {}, {}
+                        prev, filed, capped = {}, {}, {}
                     elif groups:
-                        prev, filed = level, groups
+                        prev, filed, capped = level, groups, {}
                     return settle(value, "exact" if value <= cap else "cap")
-                groups = boxed
+                groups, capped = boxed
         prev, filed, level, groups = level, groups, {}, {}
         if k > cap:
             break
-        for pattern, whole in filed.items():
-            occ, src = pattern & full, pattern >> n
-            for v in range(max(occ.bit_length() - 1, 0), n):
-                group = whole
-                if box and below[v] and occ >> v == 1:  # v is the top
-                    field, most = p.fields[v][1], below[v]
-                    group = [c for c in whole if c & field < most]
-                checked += len(group)
-                if budget is not None and checked > budget:
-                    checked = budget + 1
-                    return settle(k, "budget")
-                bit = 1 << v
-                if occ & bit:  # v is the top and becomes a source
-                    occupied, sources = occ, src | p.steps[v][0]
-                else:  # v joins the occupied vertices
-                    occupied, sources = occ | bit, src
-                base = scores.get(occupied)
-                if base is None:
-                    base = scores[occupied] = (
-                        int(occupied != full) if cover else
-                        max_undominated_component(g, occupied))
-                if base <= floor:
-                    continue
-                row = legal.get(sources)
-                if row is None:
-                    row = legal[sources] = p.legal(sources)
-                unit, members = p.weights[v], None
-                # Probe moves by lowest source, then adjacency order,
-                # until one leaves the kept set.
-                if single:
-                    for c in group:
-                        x = c + unit
-                        if x & guard == guard:  # the bounds leave x open
-                            for delta, _ in row:
-                                y = x + delta
-                                if y & guard == guard and y not in prev:
-                                    break
-                            else:
-                                level[x] = occupied
-                                if members is None:
-                                    members = groups.setdefault(
-                                        occupied | sources << n, [])
-                                members.append(x)
-                            continue
-                        # the bounds prove x unsolvable: kept unprobed
-                        if members is None:
-                            members = groups.setdefault(
-                                occupied | sources << n, [])
-                        members.append(x)
-                else:
-                    for c in group:
-                        x = c + unit
-                        score = base
-                        for delta, _ in row:
-                            child = prev.get(x + delta, floor)
-                            if child < score:
-                                score = child
-                                if score <= floor:
-                                    break
-                        if score > floor:
-                            level[x] = score
+        # Filed members take their children c + e_v from v = top(c) on,
+        # the empty configuration from v = 0; in the box, those at
+        # M_k(top) take none on their top.
+        for jobs, lead in (filed, 1), (capped, 0):
+            for pattern, group in jobs.items():
+                occ, src = pattern & full, pattern >> n
+                for v in range((occ.bit_length() or 1) - lead, n):
+                    checked += len(group)
+                    if budget is not None and checked > budget:
+                        checked = budget + 1
+                        return settle(k, "budget")
+                    bit = 1 << v
+                    if occ & bit:  # v is the top and becomes a source
+                        occupied, sources = occ, src | p.steps[v][0]
+                    else:  # v joins the occupied vertices
+                        occupied, sources = occ | bit, src
+                    base = scores.get(occupied)
+                    if base is None:
+                        base = scores[occupied] = (
+                            int(occupied != full) if cover else
+                            max_undominated_component(g, occupied))
+                    if base <= floor:
+                        continue
+                    row = legal.get(sources)
+                    if row is None:
+                        row = legal[sources] = p.legal(sources)
+                    unit, members = p.weights[v], None
+                    # Probe moves by lowest source, then adjacency order,
+                    # until one leaves the kept set.
+                    if single:
+                        for c in group:
+                            x = c + unit
+                            if x & guard == guard:  # the bounds leave x open
+                                for delta, _ in row:
+                                    y = x + delta
+                                    if y & guard == guard and y not in prev:
+                                        break
+                                else:
+                                    level[x] = occupied
+                                    if members is None:
+                                        members = groups.setdefault(
+                                            occupied | sources << n, [])
+                                    members.append(x)
+                                continue
+                            # the bounds prove x unsolvable: kept unprobed
                             if members is None:
                                 members = groups.setdefault(
                                     occupied | sources << n, [])
                             members.append(x)
+                    else:
+                        for c in group:
+                            x = c + unit
+                            score = base
+                            for delta, _ in row:
+                                child = prev.get(x + delta, floor)
+                                if child < score:
+                                    score = child
+                                    if score <= floor:
+                                        break
+                            if score > floor:
+                                level[x] = score
+                                if members is None:
+                                    members = groups.setdefault(
+                                        occupied | sources << n, [])
+                                members.append(x)
         if not box:
             continue
         # The reverse moves of prev's members outside the box, each once,
         # one candidate at a time; no bound refutes one (see above).
         seen: set[int] = set()
         for y, occ in prev.items():
-            for delta in backs[occ]:
+            row = backs.get(occ)
+            if row is None:
+                row = backs[occ] = _reverse(into, occ)
+            for delta in row:
                 x = y + delta
                 if x in seen or not ((x & even) + lift_even & ends_even
                                      or (x & odd) + lift_odd & ends_odd):
@@ -900,45 +913,48 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
 
 
 def _inside(groups: dict[int, list[int]], n: int, halves: tuple,
-            limits: tuple) -> dict[int, list[int]]:
+            limits: tuple) -> tuple[dict, dict]:
     """The members of ``groups`` in Box_k, by pattern, from the fields of
-    :func:`_box` and the limits of :func:`_limits`."""
+    :func:`_box` and the limits of :func:`_limits`, in two dicts: those
+    with c_v < M_k(v) on their top vertex v, whose colex children all lie
+    in the box, and those with c_v = M_k(v), whose child c + e_v leaves
+    it."""
     even, ends_even, odd, ends_odd = halves
-    lift_even, lift_odd, one, over, _ = limits
-    kept, full = {}, (1 << n) - 1
+    lift_even, lift_odd, one, over, below = limits
+    grow, capped, full = {}, {}, (1 << n) - 1
     for pattern, group in groups.items():
-        src = pattern >> n
+        occ, src = pattern & full, pattern >> n
         if src & one:
             continue
-        if src & over[(pattern & full).bit_count()]:
+        if src & over[occ.bit_count()]:
             group = [c for c in group if not (
                 (c & even) + lift_even & ends_even
                 or (c & odd) + lift_odd & ends_odd)]
+        cut = below[occ.bit_length() - 1]
+        if cut and group:
+            field, most = cut
+            full_top = [c for c in group if c & field >= most]
+            if full_top:
+                capped[pattern] = full_top
+                group = [c for c in group if c & field < most]
         if group:
-            kept[pattern] = group
-    return kept
+            grow[pattern] = group
+    return grow, capped
 
 
-def _width(groups: dict[int, list[int]], n: int) -> int:
-    """How many colex children the kept ``groups`` have: n - top(c) each."""
+def _width(n: int, *groups: dict[int, list[int]]) -> int:
+    """How many colex children the filed ``groups`` have, counting n -
+    top(c) for each member c."""
     occupied = (1 << n) - 1
     return sum(len(group) * (n + 1 - (pattern & occupied).bit_length())
-               for pattern, group in groups.items())
+               for filed in groups for pattern, group in filed.items())
 
 
-class _Reverse(dict):
+def _reverse(into: tuple, occupied: int) -> tuple[int, ...]:
     """The reverse-move deltas of :func:`_box`'s ``into`` of every vertex
-    in an occupied mask, by mask, each built on its first lookup."""
-
-    def __init__(self, into: tuple):
-        super().__init__()
-        self.into = into
-
-    def __missing__(self, occupied: int) -> tuple[int, ...]:
-        row = self[occupied] = tuple(
-            d for w, deltas in enumerate(self.into) if occupied >> w & 1
-            for d in deltas)
-        return row
+    in ``occupied``."""
+    return tuple(d for w, deltas in enumerate(into) if occupied >> w & 1
+                 for d in deltas)
 
 
 def pebbling_value(g: Graph, goal: Goal, cap: int | None = None,

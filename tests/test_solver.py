@@ -891,20 +891,21 @@ def test_pebbling_values_match_single_goal_scans():
                         assert rep.checked == budget + 1
                         assert rep.value <= exact.value
     # The smallest omega is psi's, so psi's one-goal scan has the shared
-    # scan's candidates up to the level where it may switch to its box,
-    # past n pebbles, which the shared scan, packing no bound, never does.
-    # So the psi reports agree in verdict, and in full at every budget that
-    # trips at n pebbles or fewer; a later trip still reports a sound lower
-    # bound with an unsolvable witness.
-    for kind, params in (("path", (6,)), ("binary-tree", (2,)),
-                         ("tail-clique", (2, 4))):
+    # scan's candidates up to the level where it switches to its box,
+    # which the shared scan, packing no bound, never does.  So the psi
+    # reports agree in verdict, and in full at every budget that trips
+    # below that level; a later trip still reports a sound lower bound
+    # with an unsolvable witness.  binary_tree(2) never switches.
+    for kind, params, switch in (("path", (6,), 7),
+                                 ("binary-tree", (2,), None),
+                                 ("tail-clique", (2, 4), 14)):
         g = generate(FamilySpec(kind, params))
         full = pebbling_value(g, DOMINATION)
         assert _verdict(full) == _verdict(pebbling_values(g, goals)[0])
         for budget in (0, 1, 5, 37, 200, full.checked - 1):
             one = pebbling_value(g, DOMINATION, budget=budget)
             assert one.status == "budget" and one.checked == budget + 1
-            if one.value <= g.n:
+            if switch is None or one.value < switch:
                 assert one == pebbling_values(g, goals, budget=budget)[0]
             else:
                 assert one.value <= full.value
