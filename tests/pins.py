@@ -30,6 +30,7 @@ BUCKET_DIGEST = 12  # hex digits kept of each bucket's SHA-256
 # Stream name -> (test module, zero-argument function yielding the pairs).
 STREAMS = {
     "oracle": ("test_solver", "oracle_outcomes"),
+    "oracle-work": ("test_solver", "oracle_work"),
     "scan": ("test_solver", "scan_outcomes"),
     "scan-work": ("test_solver", "scan_work"),
     "targets": ("test_solver", "targets_outcomes"),
