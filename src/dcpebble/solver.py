@@ -110,21 +110,21 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     goal test and the legal steps read those fields alone.  The goal
     verdict is kept per pattern of occupied fields: cover holds iff every
     field is occupied, so it reads the occupied bits, and the other goals
-    test the support mask.  A
-    configuration's legal steps come from the packing's move
-    table, keyed by which sources hold two pebbles: one dict lookup per
-    expanded configuration once its pattern has been seen.  A step is a
-    pair ``(delta, (u, v))`` whose move tuple the table builds once, so
-    the path's moves share it and the search builds no move.  Moves are
-    tried by lowest source, then adjacency order, and the search descends
-    into the first unvisited child, so the certificate is deterministic.
-    A child whose weight bound proves it unsolvable is stored as visited,
-    with no goal test, and not expanded: every configuration reachable from it fails the
-    bound too, and every goal configuration meets it, so pruning changes
-    neither the verdict nor the first solution found.  ``states_explored``
-    counts the stored configurations, pruned ones included, and the
-    budget caps it.  ``c`` may be any iterable of counts; one that is not
-    a non-negative int raises :class:`PebblingError`.
+    test the support mask.  A configuration's legal steps come from the
+    packing's move table, keyed by which sources hold two pebbles: one
+    dict lookup per expanded configuration once its pattern has been
+    seen.  A step is a pair ``(delta, (u, v))`` whose move tuple the table
+    builds once, so the path's moves share it and the search builds no
+    move.  Moves are tried by lowest source, then adjacency order, and the
+    search descends into the first unvisited child, so the certificate is
+    deterministic.  A child whose weight bound proves it unsolvable is
+    stored as visited, with no goal test, and not expanded: every
+    configuration reachable from it fails the bound too, and every goal
+    configuration meets it, so pruning changes neither the verdict nor
+    the first solution found.  ``states_explored`` counts the stored
+    configurations, pruned ones included, and the budget caps it.  ``c``
+    may be any iterable of counts; one that is not a non-negative int
+    raises :class:`PebblingError`.
     """
     initial = check_configuration(g, c)
     p = _packing(g, goal, sum(initial).bit_length())
@@ -354,15 +354,10 @@ class _Packing:
     is ``bits`` bits wide (at least 1).  Above the counts, each target of
     ``goal`` (see :func:`_targets`; none for ``None``) has an s-bit field
     holding its slack + 2^(s-1), where the slack is the weight sum minus
-    the need: the least weight of a vertex set that meets the goal, found
-    by branch and bound, or, where the search's work limit ran out, the
-    greedy packing of disjoint requirement sets that bounds it below; a
-    checker re-derives the least weight over the goal-meeting vertex sets
-    and finds the need at or below it.  A weight is at most 2^diam and a
-    need at most n*2^diam, so slacks lie at or above -n*2^diam and below
-    2^bits*2^diam, no field over- or underflows, and the bounds prove
-    ``x`` unsolvable iff ``x & guard != guard``.  A pebble on v adds
-    ``weights[v]``.
+    the target's need.  A weight is at most 2^diam and a need at most
+    n*2^diam, so slacks lie at or above -n*2^diam and below 2^bits*2^diam,
+    no field over- or underflows, and the bounds prove ``x`` unsolvable
+    iff ``x & guard != guard``.  A pebble on v adds ``weights[v]``.
 
     The top bit of every non-zero count field is set in ``occupied =
     ((x & low) + low | x) & high``.  The same carry on ``t = x & two``,
@@ -381,7 +376,7 @@ class _Packing:
     :func:`is_solvable` stores a configuration that fails the guard and
     never expands it, and the level scan of :func:`pebbling_values` over
     goals of one omega keeps such a candidate with no move probed, and
-    reads the targets back (:meth:`targets`) to decide where it stops.
+    keeps its box's data in ``box`` (:meth:`box_scan`).
     """
 
     def __init__(self, g: Graph, goal: Goal | None, bits: int):
@@ -406,6 +401,10 @@ class _Packing:
             (unit << w - 1, tuple((weights[v] - 2 * weights[u], (u, v))
                                   for v in g.adj[u]))
             for u, (unit, _, _) in enumerate(self.fields))
+        # Set here, not on first use: the scans' hot loops read ``weights``
+        # and ``steps`` per pattern and vertex, 3-8% slower (CPython 3.11)
+        # on a packing that gains an attribute later, as a cached_property.
+        self.box = None
 
     def legal(self, sources: int) -> tuple[tuple[int, PebblingMove], ...]:
         """The steps of every source whose top count bit is in ``sources``,
@@ -438,6 +437,27 @@ class _Packing:
                           (1 << s - 1) - (self.base >> shift & mask)))
             shift += s
         return built
+
+    def box_scan(self, g: Graph) -> tuple:
+        """The box scan's data (:func:`pebbling_values`) for this packing of
+        ``g``, which has a target, built on the first call: ``top`` = max_T
+        ceil(need_T / mu_T), mu_T being T's least weight; the targets; the
+        even vertices' count fields and the bit above each (its sentinel),
+        the same for the odd ones; for each vertex w the deltas 2 weights[u]
+        - weights[w], u adjacent to w, of the reverse moves y - e_w + 2 e_u;
+        and a dict in which scans file :func:`_limits` by size."""
+        if self.box is None:
+            targets = self.targets()
+            top = max(-(-need // min(row)) for row, need in targets)
+            halves = [0, 0, 0, 0]  # even fields, sentinels, odd, sentinels
+            for v, (unit, field, _) in enumerate(self.fields):
+                halves[v % 2 * 2] |= field
+                halves[v % 2 * 2 + 1] |= field + unit
+            w = self.weights
+            into = tuple(tuple(2 * w[u] - w[v] for u in g.adj[v])
+                         for v in range(g.n))
+            self.box = top, targets, tuple(halves), into, {}
+        return self.box
 
     def pack(self, c: Sequence[int]) -> int:
         return self.base + sum(k * x for k, x in zip(c, self.weights) if k)
@@ -514,55 +534,26 @@ def _tight_caps(g: Graph, targets: list[tuple[list[int], int]],
     return caps
 
 
-@lru_cache(maxsize=1024)
-def _box(g: Graph, p: _Packing) -> tuple:
-    """What the box scan of :func:`pebbling_values` needs of a packing
-    ``p`` with a target: ``top`` = max_T ceil(need_T / mu_T), mu_T being
-    T's least weight; p's targets; the count fields of the even vertices
-    and the bit just above each of them (its sentinel), the same for the
-    odd vertices; and for each vertex w the deltas 2 weights[u] -
-    weights[w], u adjacent to w, that turn y into the reverse move y -
-    e_w + 2 e_u; and a dict in which scans file the packing's
-    :func:`_limits` by size.  Cached: one entry per packing that a
-    single-omega scan with a target used, sized as :func:`_packing`'s
-    cache, so the limits live as long as their packing's entry.
-    """
-    targets = p.targets()
-    top = max(-(-need // min(row)) for row, need in targets)
-    halves = [0, 0, 0, 0]  # even fields, their sentinels, odd, sentinels
-    for v, (unit, field, _) in enumerate(p.fields):
-        halves[v % 2 * 2] |= field
-        halves[v % 2 * 2 + 1] |= field + unit
-    w = p.weights
-    into = tuple(tuple(2 * w[u] - w[v] for u in g.adj[v]) for v in range(g.n))
-    return top, targets, tuple(halves), into, {}
-
-
 def _limits(g: Graph, p: _Packing, k: int) -> tuple:
     """Box_k of a packing, the configurations with x_u <= M_k(u) on every
     vertex (:func:`_tight_caps`, each cap cut to the largest count a field
-    holds): ``(lift_even, lift_odd, one, over, below)``.  Adding
-    ``lift_even`` to the even count fields of x (``x & even`` of
-    :func:`_box`) carries into some field's sentinel iff x_u > M_k(u) on
-    an even vertex u, and ``lift_odd`` does the same for the odd ones.
-    ``one`` holds the top count bit of each vertex with M_k(u) = 1, so a
-    pattern whose sources meet it lies outside the box.  ``over[j]`` holds
-    that of each vertex with M_k(u) < k - j: a member of level k - 1 with
-    j occupied vertices holds at most k - j pebbles on one, so a pattern
-    whose sources miss ``over[j]`` lies inside.  ``below[v]`` is v's count
-    field and M_k(v) in it, or None where no count of level k reaches it.
+    holds): ``(lift_even, lift_odd, over)``.  Adding ``lift_even`` to the
+    even count fields of x (``x & even`` of :meth:`_Packing.box_scan`)
+    carries into some field's sentinel iff x_u > M_k(u) on an even vertex
+    u, and ``lift_odd`` does the same for the odd ones.  ``over[j]`` holds
+    the top count bit of each vertex with M_k(u) < k - j: a member of
+    level k - 1 with j occupied vertices holds at most k - j pebbles on
+    one, so a pattern whose sources miss ``over[j]`` lies inside.
     """
-    lift, one, over, below = [0, 0], 0, [0] * (g.n + 1), []
-    caps = _tight_caps(g, _box(g, p)[1], k)
+    lift, over = [0, 0], [0] * (g.n + 1)
+    caps = _tight_caps(g, p.box_scan(g)[1], k)
     for v, (unit, field, _) in enumerate(p.fields):
         most = field // unit
         m, bit = min(caps[v], most), p.steps[v][0]
         lift[v % 2] += (most - m) * unit
-        below.append((field, m * unit) if m < k else None)
         for j in range(1, max(0, min(k - m, g.n + 1))):
             over[j] |= bit
-        one |= bit if m == 1 else 0
-    return lift[0], lift[1], one, tuple(over), tuple(below)
+    return lift[0], lift[1], tuple(over)
 
 
 def _last_refuted(targets: list[tuple[list[int], int]], n: int,
@@ -647,19 +638,20 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     U_k-1 in Box_k, as removing a pebble keeps a configuration unsolvable.
     So from a switch level on, the box scan keeps only R_k, and U_k in
     Box_k filed by pattern, and by induction misses none of either.  Its
-    candidates at level k are the colex children in Box_k of the filed
-    members in Box_k, through the loop above, which skips v = top(c) for
-    a member with c_v = M_k(v) (:func:`_inside` files those apart at the
-    level's start), and the reverse moves of R_k-1 outside Box_k, each
-    once, through a per-candidate path: the occupied bits give the
-    support score and ``sources`` the legal row.  A reverse move never lowers a
+    candidates at level k are the colex children of the filed members in
+    Box_k (:func:`_inside` drops the others at the level's start), through
+    the loop above, and the reverse moves of R_k-1 outside Box_k, each
+    once, through a per-candidate path: the occupied bits give the support
+    score and ``sources`` the legal row.  A reverse move never lowers a
     weight sum, so it passes every bound.  One in Box_k needs no test: its
     colex parent is filed if unsolvable, so the loop has it, and it is
-    solvable otherwise.  A candidate is decided as before, and one that
-    fails a bound is kept only in the box, where the loop made it.  The
-    box test is two additions on the count fields (:func:`_box`,
-    :func:`_limits`), once for the even vertices and once for the odd, so
-    that a field's carry lands in the empty field above it.
+    solvable otherwise.  A member c with c_v = M_k(v) on its top vertex v
+    has one colex child outside Box_k, c + e_v, decided like the others;
+    if it is also a reverse move of R_k-1, the path examines it again.
+    The box test is two additions on the count fields
+    (:meth:`_Packing.box_scan`, :func:`_limits`), once for the even
+    vertices and once for the odd, so that a field's carry lands in the
+    empty field above it.
 
     The scan decides once per level k > n, cheapest test first, and never
     switches back, as the configurations dropped cannot come back.  It
@@ -667,29 +659,26 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     ``_REVERSE_COST``, it switches when some M_k(u) < k - 1, so that a
     member of U_k-1 can lie outside Box_k; alpha |R_k-1| sum_u deg(u) < n
     |U_k-1|; and alpha times the reverse moves of R_k-1 plus the colex
-    children of its filed members in Box_k is below today's
-    candidates, sum_c n - top(c) over U_k-1 (box children counted as
-    n - top(c) too, an upper bound).  A reverse move, duplicates and
-    moves into the box included, cost 1.0 to 1.7 colex children, measured
-    on brute lambda of tail_clique(2, 3) and path(7) and psi of
+    children of its filed members in Box_k is below today's candidates,
+    sum_c n - top(c) over U_k-1.  A reverse move, duplicates and moves
+    into the box included, cost 1.0 to 1.7 colex children, measured on
+    brute lambda of tail_clique(2, 3) and path(7) and psi of
     tail_clique(2, 4), path(8) and path(9); alpha = 4 is set above that
-    as a switch commits every later level to the reverse moves.  Of
-    alpha from 1 to 8, 4 was the fastest or within 2% of it on perfbench's
+    as a switch commits every later level to the reverse moves.  Of alpha
+    from 1 to 8, 4 was the fastest or within 2% of it on perfbench's
     families scans, and 6% slower than 1 on psi of path(9).  With R_k-1
     empty and no filed member in Box_k there are no candidates, so the
     scan switches and ends there: nothing is kept from level k on, and
     every unsolvable configuration of k pebbles or more fails a bound.
-    Some configuration of j pebbles
-    fails target T's bound iff j mu_T < need_T, mu_T being T's least
-    weight, so the value is the larger of top = max_T ceil(need_T / mu_T)
-    and 1 + the last level that kept anything, or ``cap + 1`` with status
-    ``"cap"`` when that exceeds ``cap``.  The witness at j pebbles, for
-    that report and for ``"cap"`` and ``"budget"`` reports of a scan in
-    its box, is the colex-larger of the colex-last member kept at level j
-    and, when j < top, the colex-last configuration of j pebbles that
-    fails a bound (:func:`_last_refuted`), which is the colex-last member
-    of U_j, as every unsolvable configuration the box dropped fails a
-    bound.
+    Some configuration of j pebbles fails target T's bound iff j mu_T <
+    need_T, mu_T being T's least weight, so the value is the larger of
+    top = max_T ceil(need_T / mu_T) and 1 + the last level that kept
+    anything, or ``cap + 1`` with status ``"cap"`` when that exceeds
+    ``cap``.  The witness at j pebbles is the colex-larger of the
+    colex-last member kept at level j and, when j < top, the colex-last
+    configuration of j pebbles that fails a bound (:func:`_last_refuted`):
+    the colex-last member of U_j, as every unsolvable configuration the
+    box dropped fails a bound, and before the switch nothing is dropped.
 
     Kept configurations are filed by pattern, ``occupied | sources << n``:
     the mask of the vertices holding a pebble and the top count bits of
@@ -702,11 +691,11 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     Domination and subversion goals share a scan; cover scans alone.
     ``checked`` counts the candidates the scan examines: 1 for the empty
     configuration plus, for each filed c of a level below the last one
-    enumerated, its candidates c + e_v, n - top(c) of them before the
-    switch, and in its box each reverse move that reaches the
-    per-candidate path.  Once it exceeds ``budget`` every goal still
-    open gets a ``"budget"`` report with ``checked = budget + 1``, and
-    past ``cap`` (default :func:`default_cap`) a ``"cap"`` report.
+    enumerated, its candidates c + e_v, n - top(c) of them, and in its
+    box each reverse move that reaches the per-candidate path.  Once it
+    exceeds ``budget`` every goal still open gets a ``"budget"`` report
+    with ``checked = budget + 1``, and past ``cap`` (default
+    :func:`default_cap`) a ``"cap"`` report.
     """
     if not goals:
         raise ValueError("pebbling_values needs at least one goal")
@@ -723,22 +712,30 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     p = _packing(g, goals[0] if single else None, cap.bit_length())
     guard, counts = p.guard, p.high | p.low
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
+    scores: dict[int, int] = {}  # support scores by occupied mask
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
     filed: dict[int, list[int]] = {}
-    capped: dict[int, list[int]] = {}  # in the box: filed at M_k(top)
     box = None  # Box_k's limits once the scan has switched to it
-    lost = -1  # top once switched: a size below it may have lost witnesses
+    top = 0  # some configuration of each size below top fails a bound
+
+    def score(occupied: int) -> int:
+        """Support score of ``occupied``, filed on a miss in ``scores``."""
+        scores[occupied] = base = (int(occupied != full) if cover else
+                                   max_undominated_component(g, occupied))
+        return base
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
         for i, goal in enumerate(goals):
             if reports[i] is None and goal.omega >= most:
                 if single:
+                    # The colex-last of value - 1 pebbles that fails a
+                    # bound: filed before the switch, maybe dropped after.
                     dropped = ([p.pack(_last_refuted(targets, n, value - 1))]
-                               if value <= lost else [])  # outside the box
-                    kept = (x & counts for x in chain(
-                        prev, *filed.values(), *capped.values(), dropped))
+                               if 0 < value <= top else [])
+                    kept = (x & counts
+                            for x in chain(prev, *filed.values(), dropped))
                 else:
                     kept = (x for x, s in prev.items() if s > goal.omega)
                 last = max(kept, default=None)
@@ -749,13 +746,11 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     checked = 1  # level 0: the empty configuration, which has no moves
     if budget is not None and budget < 1:
         return settle(0, "budget")
-    score, x = 1 if cover else n, p.base  # g is one undominated component
-    # kept configurations by pattern; support scores by occupied mask
-    groups = {0: [x]} if score > floor else {}
-    level = {x: score} if groups and x & guard == guard else {}
-    scores = {0: score}
+    base, x = score(0), p.base  # the empty configuration
+    groups = {0: [x]} if base > floor else {}  # kept configurations by pattern
+    level = {x: base} if groups and x & guard == guard else {}
     if single and guard:
-        top, targets, halves, into, sizes = _box(g, p)
+        top, targets, halves, into, sizes = p.box_scan(g)
         even, ends_even, odd, ends_odd = halves
         low, high, two = p.low, p.high, p.two
         masks: dict[int, int] = {}  # occupied vertices by their top count bits
@@ -771,7 +766,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
             limits = sizes.get(k)
             if limits is None:
                 limits = sizes[k] = _limits(g, p, k)
-            lift_even, lift_odd, _, over, _ = limits
+            lift_even, lift_odd, over = limits
             switch, boxed = box is not None, None
             if not switch and over[1]:
                 cost = 0
@@ -783,90 +778,86 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                 today = _width(n, groups)
                 if cost < today:
                     boxed = _inside(groups, n, halves, limits)
-                    switch = cost + _width(n, *boxed) < today
+                    switch = cost + _width(n, boxed) < today
             if switch:
-                box, lost = limits, top
+                box = limits
                 if boxed is None:
                     boxed = _inside(groups, n, halves, limits)
-                if not level and not any(boxed):
+                if not level and not boxed:
                     # Nothing is kept from here on: the value and witness
                     # come from the last level that kept anything.
                     last = k - 1 if groups else k - 2
                     value = min(max(top, last + 1), cap + 1)
                     if value > last + 1:
-                        prev, filed, capped = {}, {}, {}
+                        prev, filed = {}, {}
                     elif groups:
-                        prev, filed, capped = level, groups, {}
+                        prev, filed = level, groups
                     return settle(value, "exact" if value <= cap else "cap")
-                groups, capped = boxed
+                groups = boxed
         prev, filed, level, groups = level, groups, {}, {}
         if k > cap:
             break
         # Filed members take their children c + e_v from v = top(c) on,
-        # the empty configuration from v = 0; in the box, those at
-        # M_k(top) take none on their top.
-        for jobs, lead in (filed, 1), (capped, 0):
-            for pattern, group in jobs.items():
-                occ, src = pattern & full, pattern >> n
-                for v in range((occ.bit_length() or 1) - lead, n):
-                    checked += len(group)
-                    if budget is not None and checked > budget:
-                        checked = budget + 1
-                        return settle(k, "budget")
-                    bit = 1 << v
-                    if occ & bit:  # v is the top and becomes a source
-                        occupied, sources = occ, src | p.steps[v][0]
-                    else:  # v joins the occupied vertices
-                        occupied, sources = occ | bit, src
-                    base = scores.get(occupied)
-                    if base is None:
-                        base = scores[occupied] = (
-                            int(occupied != full) if cover else
-                            max_undominated_component(g, occupied))
-                    if base <= floor:
-                        continue
-                    row = legal.get(sources)
-                    if row is None:
-                        row = legal[sources] = p.legal(sources)
-                    unit, members = p.weights[v], None
-                    # Probe moves by lowest source, then adjacency order,
-                    # until one leaves the kept set.
-                    if single:
-                        for c in group:
-                            x = c + unit
-                            if x & guard == guard:  # the bounds leave x open
-                                for delta, _ in row:
-                                    y = x + delta
-                                    if y & guard == guard and y not in prev:
-                                        break
-                                else:
-                                    level[x] = occupied
-                                    if members is None:
-                                        members = groups.setdefault(
-                                            occupied | sources << n, [])
-                                    members.append(x)
-                                continue
-                            # the bounds prove x unsolvable: kept unprobed
-                            if members is None:
-                                members = groups.setdefault(
-                                    occupied | sources << n, [])
-                            members.append(x)
-                    else:
-                        for c in group:
-                            x = c + unit
-                            score = base
+        # the empty configuration from v = 0.
+        for pattern, group in filed.items():
+            occ, src = pattern & full, pattern >> n
+            for v in range((occ.bit_length() or 1) - 1, n):
+                checked += len(group)
+                if budget is not None and checked > budget:
+                    checked = budget + 1
+                    return settle(k, "budget")
+                bit = 1 << v
+                if occ & bit:  # v is the top and becomes a source
+                    occupied, sources = occ, src | p.steps[v][0]
+                else:  # v joins the occupied vertices
+                    occupied, sources = occ | bit, src
+                base = scores.get(occupied)
+                if base is None:
+                    base = score(occupied)
+                if base <= floor:
+                    continue
+                row = legal.get(sources)
+                if row is None:
+                    row = legal[sources] = p.legal(sources)
+                unit, members = p.weights[v], None
+                # Probe moves by lowest source, then adjacency order,
+                # until one leaves the kept set.
+                if single:
+                    for c in group:
+                        x = c + unit
+                        if x & guard == guard:  # the bounds leave x open
                             for delta, _ in row:
-                                child = prev.get(x + delta, floor)
-                                if child < score:
-                                    score = child
-                                    if score <= floor:
-                                        break
-                            if score > floor:
-                                level[x] = score
+                                y = x + delta
+                                if y & guard == guard and y not in prev:
+                                    break
+                            else:
+                                level[x] = occupied
                                 if members is None:
                                     members = groups.setdefault(
                                         occupied | sources << n, [])
                                 members.append(x)
+                            continue
+                        # the bounds prove x unsolvable: kept unprobed
+                        if members is None:
+                            members = groups.setdefault(
+                                occupied | sources << n, [])
+                        members.append(x)
+                else:
+                    for c in group:
+                        x = c + unit
+                        least = base
+                        for delta, _ in row:
+                            child = prev.get(x + delta, floor)
+                            if child < least:
+                                least = child
+                                if least <= floor:
+                                    break
+                        if least > floor:
+                            level[x] = least
+                            if members is None:
+                                members = groups.setdefault(
+                                    occupied | sources << n, [])
+                            members.append(x)
         if not box:
             continue
         # The reverse moves of prev's members outside the box, each once,
@@ -893,9 +884,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     occupied = masks[lit] = p.support(key)
                 base = scores.get(occupied)
                 if base is None:
-                    base = scores[occupied] = (
-                        int(occupied != full) if cover else
-                        max_undominated_component(g, occupied))
+                    base = score(occupied)
                 if base <= floor:
                     continue
                 t = key & two
@@ -913,46 +902,32 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
 
 
 def _inside(groups: dict[int, list[int]], n: int, halves: tuple,
-            limits: tuple) -> tuple[dict, dict]:
+            limits: tuple) -> dict[int, list[int]]:
     """The members of ``groups`` in Box_k, by pattern, from the fields of
-    :func:`_box` and the limits of :func:`_limits`, in two dicts: those
-    with c_v < M_k(v) on their top vertex v, whose colex children all lie
-    in the box, and those with c_v = M_k(v), whose child c + e_v leaves
-    it."""
+    :meth:`_Packing.box_scan` and the limits of :func:`_limits`."""
     even, ends_even, odd, ends_odd = halves
-    lift_even, lift_odd, one, over, below = limits
-    grow, capped, full = {}, {}, (1 << n) - 1
+    lift_even, lift_odd, over = limits
+    inside, full = {}, (1 << n) - 1
     for pattern, group in groups.items():
-        occ, src = pattern & full, pattern >> n
-        if src & one:
-            continue
-        if src & over[occ.bit_count()]:
+        if pattern >> n & over[(pattern & full).bit_count()]:
             group = [c for c in group if not (
                 (c & even) + lift_even & ends_even
                 or (c & odd) + lift_odd & ends_odd)]
-        cut = below[occ.bit_length() - 1]
-        if cut and group:
-            field, most = cut
-            full_top = [c for c in group if c & field >= most]
-            if full_top:
-                capped[pattern] = full_top
-                group = [c for c in group if c & field < most]
         if group:
-            grow[pattern] = group
-    return grow, capped
+            inside[pattern] = group
+    return inside
 
 
-def _width(n: int, *groups: dict[int, list[int]]) -> int:
-    """How many colex children the filed ``groups`` have, counting n -
-    top(c) for each member c."""
+def _width(n: int, groups: dict[int, list[int]]) -> int:
+    """The colex children of the members c of ``groups``, n - top(c) each."""
     occupied = (1 << n) - 1
     return sum(len(group) * (n + 1 - (pattern & occupied).bit_length())
-               for filed in groups for pattern, group in filed.items())
+               for pattern, group in groups.items())
 
 
 def _reverse(into: tuple, occupied: int) -> tuple[int, ...]:
-    """The reverse-move deltas of :func:`_box`'s ``into`` of every vertex
-    in ``occupied``."""
+    """The reverse-move deltas of :meth:`_Packing.box_scan`'s ``into`` of
+    every vertex in ``occupied``."""
     return tuple(d for w, deltas in enumerate(into) if occupied >> w & 1
                  for d in deltas)
 

@@ -157,14 +157,14 @@ CASES = {
             "finding subversion_diam3_omega_1 on ELq?")),
     "compute-psi-path-8": run(
         "compute psi", "psi = 73", "witness = 0,0,0,0,0,0,0,72",
-        "configurations checked = 10159", stdin=("family", "path", "8")),
+        "configurations checked = 10443", stdin=("family", "path", "8")),
     "compute-psi-path-8-budget": run(
-        "compute psi --budget 10158",
+        "compute psi --budget 10442",
         "psi >= 20 (budget exhausted; value is a lower bound)",
-        "witness = 0,0,0,0,0,0,0,19", "configurations checked = 10159",
+        "witness = 0,0,0,0,0,0,0,19", "configurations checked = 10443",
         stdin=("family", "path", "8"), code=cli.EXIT_BUDGET),
     # Without its box, this scan examines 189,093,066 candidates, not
-    # 916,871: the timeout checks that the box scan stays engaged.
+    # 943,273: the timeout checks that the box scan stays engaged.
     "compute-psi-path-10": run(
         "compute psi", "psi = 293", ..., stdin=("family", "path", "10"),
         timeout=10.0),

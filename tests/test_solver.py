@@ -1039,7 +1039,7 @@ PINNED_SCAN = Pin(
     })
 
 PINNED_SCAN_WORK = Pin(
-    6193, "abebcedbd8e32cd8bbd25bf9c080d422b116c3bfd4baf4eee9204221474a7d6e",
+    6193, "af27951a7e8bee08e4ec9d38349b8f63e046c135eafdd1bc8b6a38255a0c8b42",
     {
         "1 domination": (4, "deb618fee627"),
         "1 subversion(omega=1)": (4, "28de60fdf945"),
@@ -1092,14 +1092,14 @@ PINNED_SCAN_WORK = Pin(
         "single 5 domination": (210, "3a490aba1341"),
         "single 5 subversion(omega=1)": (210, "ce5cb270a2b1"),
         "single 5 cover": (210, "b9832bfda9dc"),
-        "single 6 domination": (1120, "e9df7db21ce5"),
+        "single 6 domination": (1120, "6a4a3de55dbe"),
         "single 6 subversion(omega=1)": (1120, "4aca9dfd9cf3"),
-        "single 6 cover": (1120, "712d46b6fe53"),
+        "single 6 cover": (1120, "b571ff81dcc8"),
         "single binary-tree 2 domination": (10, "63ad8dba4d0d"),
-        "single path 6 domination": (10, "18bb82226b71"),
+        "single path 6 domination": (10, "955de00a70a4"),
         "single tail-clique 2 4 domination": (10, "178e111adb72"),
         "single tail-clique 2 3 cover": (10, "d6c77a195ef9"),
-        "single path 8 domination": (10, "501886ae513b"),
+        "single path 8 domination": (10, "4eb73cebc71c"),
     })
 
 
