@@ -401,9 +401,9 @@ class _Packing:
             (unit << w - 1, tuple((weights[v] - 2 * weights[u], (u, v))
                                   for v in g.adj[u]))
             for u, (unit, _, _) in enumerate(self.fields))
-        # Set here, not on first use: the scans' hot loops read ``weights``
-        # and ``steps`` per pattern and vertex, 3-8% slower (CPython 3.11)
-        # on a packing that gains an attribute later, as a cached_property.
+        # Set here: the scans' hot loops read ``weights`` and ``steps`` per
+        # pattern and vertex, and a cached_property, which writes __dict__,
+        # made every single-omega scan 3-7% slower on CPython 3.11.
         self.box = None
 
     def legal(self, sources: int) -> tuple[tuple[int, PebblingMove], ...]:
@@ -712,7 +712,6 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     p = _packing(g, goals[0] if single else None, cap.bit_length())
     guard, counts = p.guard, p.high | p.low
     legal: dict[int, tuple] = {}  # legal steps by sources holding two
-    scores: dict[int, int] = {}  # support scores by occupied mask
     reports: list[NumberReport | None] = [None] * len(goals)
     prev: dict[int, int] = {}
     filed: dict[int, list[int]] = {}
@@ -720,10 +719,9 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     top = 0  # some configuration of each size below top fails a bound
 
     def score(occupied: int) -> int:
-        """Support score of ``occupied``, filed on a miss in ``scores``."""
-        scores[occupied] = base = (int(occupied != full) if cover else
-                                   max_undominated_component(g, occupied))
-        return base
+        """The support score of ``occupied``, on a miss in ``scores``."""
+        return (int(occupied != g.full_mask) if cover
+                else max_undominated_component(g, occupied))
 
     def settle(value: int, status: str, most: int = -1) -> list:
         """Report every open goal whose omega is at least ``most``."""
@@ -747,6 +745,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     if budget is not None and budget < 1:
         return settle(0, "budget")
     base, x = score(0), p.base  # the empty configuration
+    scores = {0: base}  # support scores by occupied mask
     groups = {0: [x]} if base > floor else {}  # kept configurations by pattern
     level = {x: base} if groups and x & guard == guard else {}
     if single and guard:
@@ -813,7 +812,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     occupied, sources = occ | bit, src
                 base = scores.get(occupied)
                 if base is None:
-                    base = score(occupied)
+                    base = scores[occupied] = score(occupied)
                 if base <= floor:
                     continue
                 row = legal.get(sources)
@@ -884,7 +883,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     occupied = masks[lit] = p.support(key)
                 base = scores.get(occupied)
                 if base is None:
-                    base = score(occupied)
+                    base = scores[occupied] = score(occupied)
                 if base <= floor:
                     continue
                 t = key & two
