@@ -110,21 +110,21 @@ def is_solvable(g: Graph, c: Sequence[int], goal: Goal,
     goal test and the legal steps read those fields alone.  The goal
     verdict is kept per pattern of occupied fields: cover holds iff every
     field is occupied, so it reads the occupied bits, and the other goals
-    test the support mask.  A configuration's legal steps come from the
-    packing's move table, keyed by which sources hold two pebbles: one
-    dict lookup per expanded configuration once its pattern has been
-    seen.  A step is a pair ``(delta, (u, v))`` whose move tuple the table
-    builds once, so the path's moves share it and the search builds no
-    move.  Moves are tried by lowest source, then adjacency order, and the
-    search descends into the first unvisited child, so the certificate is
-    deterministic.  A child whose weight bound proves it unsolvable is
-    stored as visited, with no goal test, and not expanded: every
-    configuration reachable from it fails the bound too, and every goal
-    configuration meets it, so pruning changes neither the verdict nor
-    the first solution found.  ``states_explored`` counts the stored
-    configurations, pruned ones included, and the budget caps it.  ``c``
-    may be any iterable of counts; one that is not a non-negative int
-    raises :class:`PebblingError`.
+    test the support mask.  A
+    configuration's legal steps come from the packing's move
+    table, keyed by which sources hold two pebbles: one dict lookup per
+    expanded configuration once its pattern has been seen.  A step is a
+    pair ``(delta, (u, v))`` whose move tuple the table builds once, so
+    the path's moves share it and the search builds no move.  Moves are
+    tried by lowest source, then adjacency order, and the search descends
+    into the first unvisited child, so the certificate is deterministic.
+    A child whose weight bound proves it unsolvable is stored as visited,
+    with no goal test, and not expanded: every configuration reachable from it fails the
+    bound too, and every goal configuration meets it, so pruning changes
+    neither the verdict nor the first solution found.  ``states_explored``
+    counts the stored configurations, pruned ones included, and the
+    budget caps it.  ``c`` may be any iterable of counts; one that is not
+    a non-negative int raises :class:`PebblingError`.
     """
     initial = check_configuration(g, c)
     p = _packing(g, goal, sum(initial).bit_length())
