@@ -441,22 +441,19 @@ class _Packing:
     def box_scan(self, g: Graph) -> tuple:
         """The box scan's data (:func:`pebbling_values`) for this packing of
         ``g``, which has a target, built on the first call: ``top`` = max_T
-        ceil(need_T / mu_T), mu_T being T's least weight; the targets; the
-        even vertices' count fields and the bit above each (its sentinel),
-        the same for the odd ones; for each vertex w the deltas 2 weights[u]
-        - weights[w], u adjacent to w, of the reverse moves y - e_w + 2 e_u;
-        and a dict in which scans file :func:`_limits` by size."""
+        ceil(need_T / mu_T), mu_T being T's least weight; the targets; for
+        each vertex w the deltas 2 weights[u] - weights[w], u adjacent to w,
+        of the reverse moves y - e_w + 2 e_u; and a dict in which scans file
+        :func:`_limits` by size.  The box test needs no masks: one addition
+        on the whole int carries out of a count field iff x leaves the box,
+        a field's carry-in being the carry out of the one below."""
         if self.box is None:
             targets = self.targets()
             top = max(-(-need // min(row)) for row, need in targets)
-            halves = [0, 0, 0, 0]  # even fields, sentinels, odd, sentinels
-            for v, (unit, field, _) in enumerate(self.fields):
-                halves[v % 2 * 2] |= field
-                halves[v % 2 * 2 + 1] |= field + unit
             w = self.weights
             into = tuple(tuple(2 * w[u] - w[v] for u in g.adj[v])
                          for v in range(g.n))
-            self.box = top, targets, tuple(halves), into, {}
+            self.box = top, targets, into, {}
         return self.box
 
     def pack(self, c: Sequence[int]) -> int:
@@ -534,26 +531,23 @@ def _tight_caps(g: Graph, targets: list[tuple[list[int], int]],
     return caps
 
 
-def _limits(g: Graph, p: _Packing, k: int) -> tuple:
-    """Box_k of a packing, the configurations with x_u <= M_k(u) on every
-    vertex (:func:`_tight_caps`, each cap cut to the largest count a field
-    holds): ``(lift_even, lift_odd, over)``.  Adding ``lift_even`` to the
-    even count fields of x (``x & even`` of :meth:`_Packing.box_scan`)
-    carries into some field's sentinel iff x_u > M_k(u) on an even vertex
-    u, and ``lift_odd`` does the same for the odd ones.  ``over[j]`` holds
-    the top count bit of each vertex with M_k(u) < k - j: a member of
-    level k - 1 with j occupied vertices holds at most k - j pebbles on
-    one, so a pattern whose sources miss ``over[j]`` lies inside.
-    """
-    lift, over = [0, 0], [0] * (g.n + 1)
+def _limits(g: Graph, p: _Packing, k: int) -> tuple[int, int]:
+    """Box_k of a packing, the configurations with x_u <= m_u on every
+    vertex u, m_u being M_k(u) (:func:`_tight_caps`) cut to a field's
+    largest count ``most``: ``(lift, least)``, ``lift`` holding most - m_u
+    in u's count field and ``least`` the least m_u.  x lies outside iff
+    ``(x + lift ^ x ^ lift) & ends`` is non-zero, ``ends = p.high << 1``
+    being the bottom bit of the field above each count field: the carry
+    into it is the carry out of the field below, whatever that field
+    holds, so the lowest field with x_u > m_u carries, and none carries
+    while none is over."""
+    lift, cut = 0, []
     caps = _tight_caps(g, p.box_scan(g)[1], k)
     for v, (unit, field, _) in enumerate(p.fields):
         most = field // unit
-        m, bit = min(caps[v], most), p.steps[v][0]
-        lift[v % 2] += (most - m) * unit
-        for j in range(1, max(0, min(k - m, g.n + 1))):
-            over[j] |= bit
-    return lift[0], lift[1], tuple(over)
+        cut.append(min(caps[v], most))
+        lift += (most - cut[v]) * unit
+    return lift, min(cut)
 
 
 def _last_refuted(targets: list[tuple[list[int], int]], n: int,
@@ -648,10 +642,10 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     solvable otherwise.  A member c with c_v = M_k(v) on its top vertex v
     has one colex child outside Box_k, c + e_v, decided like the others;
     if it is also a reverse move of R_k-1, the path examines it again.
-    The box test is two additions on the count fields
-    (:meth:`_Packing.box_scan`, :func:`_limits`), once for the even
-    vertices and once for the odd, so that a field's carry lands in the
-    empty field above it.
+    The box test is one addition on the whole packed int: x lies outside
+    Box_k iff ``(x + lift ^ x ^ lift) & ends``, the carry out of each
+    count field, is non-zero, as a field's bottom bit takes the carry out
+    of the field below, whatever that field holds (:func:`_limits`).
 
     The scan decides once per level k > n, cheapest test first, and never
     switches back, as the configurations dropped cannot come back.  It
@@ -659,17 +653,17 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     ``_REVERSE_COST``, it switches when some M_k(u) < k - 1, so that a
     member of U_k-1 can lie outside Box_k; alpha |R_k-1| sum_u deg(u) < n
     |U_k-1|; and alpha times the reverse moves of R_k-1 plus the colex
-    children of its filed members in Box_k is below today's candidates,
-    sum_c n - top(c) over U_k-1.  A reverse move, duplicates and moves
-    into the box included, cost 1.0 to 1.7 colex children, measured on
-    brute lambda of tail_clique(2, 3) and path(7) and psi of
-    tail_clique(2, 4), path(8) and path(9); alpha = 4 is set above that
-    as a switch commits every later level to the reverse moves.  Of alpha
-    from 1 to 8, 4 was the fastest or within 2% of it on perfbench's
-    families scans, and 6% slower than 1 on psi of path(9).  With R_k-1
-    empty and no filed member in Box_k there are no candidates, so the
-    scan switches and ends there: nothing is kept from level k on, and
-    every unsolvable configuration of k pebbles or more fails a bound.
+    children of its filed members in Box_k is below the candidates of the
+    scan without its box, sum_c n - top(c) over U_k-1.  A reverse move,
+    duplicates and moves into the box included, cost 1.0 to 1.7 colex
+    children, measured on brute lambda of tail_clique(2, 3) and path(7)
+    and psi of tail_clique(2, 4), path(8) and path(9); alpha = 4 is set
+    above that as a switch commits every later level to the reverse
+    moves.  Of alpha from 1 to 8, 4 was the fastest or within 2% of it on
+    perfbench's families scans, and 6% slower than 1 on psi of path(9).
+    With R_k-1 empty and no filed member in Box_k there are no candidates,
+    so the scan switches and ends there: nothing is kept from level k on,
+    and every unsolvable configuration of k pebbles or more fails a bound.
     Some configuration of j pebbles fails target T's bound iff j mu_T <
     need_T, mu_T being T's least weight, so the value is the larger of
     top = max_T ceil(need_T / mu_T) and 1 + the last level that kept
@@ -749,9 +743,8 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     groups = {0: [x]} if base > floor else {}  # kept configurations by pattern
     level = {x: base} if groups and x & guard == guard else {}
     if single and guard:
-        top, targets, halves, into, sizes = p.box_scan(g)
-        even, ends_even, odd, ends_odd = halves
-        low, high, two = p.low, p.high, p.two
+        top, targets, into, sizes = p.box_scan(g)
+        low, high, two, ends = p.low, p.high, p.two, p.high << 1
         masks: dict[int, int] = {}  # occupied vertices by their top count bits
         backs: dict[int, tuple] = {}  # reverse-move deltas by occupied mask
         degrees = _REVERSE_COST * 2 * len(g.edges)  # alpha sum_u deg(u)
@@ -765,9 +758,9 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
             limits = sizes.get(k)
             if limits is None:
                 limits = sizes[k] = _limits(g, p, k)
-            lift_even, lift_odd, over = limits
+            lift, least = limits
             switch, boxed = box is not None, None
-            if not switch and over[1]:
+            if not switch and least < k - 1:
                 cost = 0
                 for occ in level.values():
                     row = backs.get(occ)
@@ -776,12 +769,12 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                     cost += _REVERSE_COST * len(row)
                 today = _width(n, groups)
                 if cost < today:
-                    boxed = _inside(groups, n, halves, limits)
+                    boxed = _inside(groups, lift, ends)
                     switch = cost + _width(n, boxed) < today
             if switch:
                 box = limits
                 if boxed is None:
-                    boxed = _inside(groups, n, halves, limits)
+                    boxed = _inside(groups, lift, ends)
                 if not level and not boxed:
                     # Nothing is kept from here on: the value and witness
                     # come from the last level that kept anything.
@@ -868,8 +861,7 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
                 row = backs[occ] = _reverse(into, occ)
             for delta in row:
                 x = y + delta
-                if x in seen or not ((x & even) + lift_even & ends_even
-                                     or (x & odd) + lift_odd & ends_odd):
+                if x in seen or not (x + lift ^ x ^ lift) & ends:
                     continue
                 seen.add(x)
                 checked += 1
@@ -900,21 +892,14 @@ def pebbling_values(g: Graph, goals: Sequence[Goal], cap: int | None = None,
     return settle(cap + 1, "cap")
 
 
-def _inside(groups: dict[int, list[int]], n: int, halves: tuple,
-            limits: tuple) -> dict[int, list[int]]:
-    """The members of ``groups`` in Box_k, by pattern, from the fields of
-    :meth:`_Packing.box_scan` and the limits of :func:`_limits`."""
-    even, ends_even, odd, ends_odd = halves
-    lift_even, lift_odd, over = limits
-    inside, full = {}, (1 << n) - 1
-    for pattern, group in groups.items():
-        if pattern >> n & over[(pattern & full).bit_count()]:
-            group = [c for c in group if not (
-                (c & even) + lift_even & ends_even
-                or (c & odd) + lift_odd & ends_odd)]
-        if group:
-            inside[pattern] = group
-    return inside
+def _inside(groups: dict[int, list[int]], lift: int,
+            ends: int) -> dict[int, list[int]]:
+    """The members c of ``groups`` in Box_k, by pattern: no count field
+    carries out, ``(c + lift ^ c ^ lift) & ends`` is zero; exact as each
+    field's carry-in is the carry out of the one below (:func:`_limits`)."""
+    kept = {pattern: [c for c in group if not (c + lift ^ c ^ lift) & ends]
+            for pattern, group in groups.items()}
+    return {pattern: group for pattern, group in kept.items() if group}
 
 
 def _width(n: int, groups: dict[int, list[int]]) -> int:

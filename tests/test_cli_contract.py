@@ -155,6 +155,14 @@ CASES = {
         stdin=b"".join(CORPUS), stderr=(
             "graphs: 143  unknown: 0  min lambda/psi: 1",
             "finding subversion_diam3_omega_1 on ELq?")),
+    # That finding's Omega_1 witness, which the record does not carry, and
+    # its replay (README "Exit codes").
+    "compute-omega-finding": run(
+        "compute omega --omega 1", "omega_1 = 6", "witness = 0,0,0,0,0,5",
+        "configurations checked = 62", stdin=b"ELq?\n"),
+    "oracle-omega-finding": run(
+        "solve oracle --goal subversion --omega 1 --config 0,0,0,0,0,5",
+        "states explored = 1", "verdict: unsolvable", stdin=b"ELq?\n"),
     "compute-psi-path-8": run(
         "compute psi", "psi = 73", "witness = 0,0,0,0,0,0,0,72",
         "configurations checked = 10443", stdin=("family", "path", "8")),

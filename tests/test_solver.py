@@ -34,6 +34,8 @@ from dcpebble import solver
 from dcpebble.graphs import dominated_mask
 from dcpebble.pebbling import satisfies_mask
 from dcpebble.solver import (
+    _inside,
+    _limits,
     _packing,
     _targets,
     _tight_caps,
@@ -899,6 +901,41 @@ def test_tight_caps_sound(goal):
             assert not refuted(g, c, goal)
             assert is_solvable(g, c, goal).solvable is False
             assert all(x <= m for x, m in zip(c, caps)), (c, caps)
+
+
+def test_box_filter_is_the_cap_test():
+    # _inside keeps exactly the configurations of k - 1 pebbles with c_u <=
+    # min(M_k(u), the field's largest count) on every vertex u, packed with
+    # their slack fields, in the narrowest packing that holds k - 1 pebbles
+    # and in one twice as wide.  Some case has a field maximum of k - 1 and
+    # lift 0 in that field, so a stack fills it, and some configuration
+    # overflows two adjacent fields.
+    filled = adjacent = 0
+    for g in (path(5), star(5), cycle(5), tail_clique(1, 3)):
+        for goal in (DOMINATION, subversion(1), FULL_COVER):
+            targets = _targets(g, goal)
+            if not targets:
+                continue
+            top = max(-(-need // min(row)) for row, need in targets)
+            for k in range(g.n + 1, min(top, g.n + 6) + 1):
+                caps = _tight_caps(g, targets, k)
+                for bits in ((k - 1).bit_length(), 2 * (k - 1).bit_length()):
+                    p = _packing(g, goal, bits)
+                    lift, least = _limits(g, p, k)
+                    most = (1 << bits) - 1
+                    cut = [min(m, most) for m in caps]
+                    assert least == min(cut)
+                    filled += most == k - 1 and most in cut
+                    box, packed = [], []
+                    for c in configurations(g.n, k - 1):
+                        packed.append(p.pack(c))
+                        over = [x > m for x, m in zip(c, cut)]
+                        adjacent += any(a and b for a, b in zip(over, over[1:]))
+                        if not any(over):
+                            box.append(packed[-1])
+                    got = _inside({0: packed}, lift, p.high << 1)
+                    assert got == ({0: box} if box else {}), (g, goal, k)
+    assert filled and adjacent
 
 
 def test_box_scan_values_of_long_paths():
